@@ -18,9 +18,10 @@ Grid-function files are plain text: a header line "d n" followed by n^d
 rationals in row-major order (the function is zero outside the unit box).
 
 ChainFileError marks structural problems (malformed document, bad rational,
-unknown field); semantic violations raised while building the chain (wrong
-coefficient for the group, simplex off the grid) propagate from the core
-modules unchanged so callers can tell the two apart.
+unknown field); InputLimitError marks well-formed input past a named size
+limit (MAX_RATIONAL_DIGITS); semantic violations raised while building the
+chain (wrong coefficient for the group, simplex off the grid) propagate from
+the core modules unchanged so callers can tell them apart.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ class ChainFileError(ValueError):
     pass
 
 
+class InputLimitError(ValueError):
+    """Well-formed input that exceeds a named size limit."""
+
+
+# Largest numerator or denominator of a rational read from text, in decimal
+# digits.  Exponent notation is checked before Fraction expands 10**exp, so
+# a short string such as "1e200000" cannot request a huge integer.
+MAX_RATIONAL_DIGITS = 1000
+
+
 # -- rationals ------------------------------------------------------------
 
 
@@ -47,18 +58,40 @@ def rational_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
+def _exceeds_digit_limit(n: int) -> bool:
+    # 10**D has more than 3*D bits, so the power is only built for huge n.
+    return n.bit_length() > 3 * MAX_RATIONAL_DIGITS and abs(n) >= 10 ** MAX_RATIONAL_DIGITS
+
+
+def _exponent_exceeds_limit(text: str) -> bool:
+    # Past 20 digits the exponent is over any limit, and int() would refuse
+    # a long enough string.
+    digits = text.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+    return digits.isdigit() and (len(digits) > 20 or int(digits) > MAX_RATIONAL_DIGITS)
+
+
 def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ChainFileError("%s: rationals must be 'p/q' strings or integers, got %r"
                              % (where, value))
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+        q = Fraction(value)
+    elif isinstance(value, str):
+        text = value.strip()
+        if _exponent_exceeds_limit(text):
+            raise InputLimitError("%s: exponent of %r exceeds MAX_RATIONAL_DIGITS = %d"
+                                  % (where, text[:40], MAX_RATIONAL_DIGITS))
         try:
-            return Fraction(value.strip())
+            q = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ChainFileError("%s: not a rational: %r" % (where, value)) from None
-    raise ChainFileError("%s: expected rational string, got %s" % (where, type(value).__name__))
+    else:
+        raise ChainFileError("%s: expected rational string, got %s"
+                             % (where, type(value).__name__))
+    if _exceeds_digit_limit(q.numerator) or _exceeds_digit_limit(q.denominator):
+        raise InputLimitError("%s: rational exceeds MAX_RATIONAL_DIGITS = %d"
+                              % (where, MAX_RATIONAL_DIGITS))
+    return q
 
 
 # -- groups ---------------------------------------------------------------
@@ -153,6 +186,10 @@ def parse_chain(text: str) -> PolyChain:
     except json.JSONDecodeError as exc:
         raise ChainFileError("line %d column %d: %s"
                              % (exc.lineno, exc.colno, exc.msg)) from None
+    except ValueError:
+        # json refuses integer literals longer than Python's int conversion limit
+        raise InputLimitError("chain: integer literal exceeds MAX_RATIONAL_DIGITS = %d"
+                              % MAX_RATIONAL_DIGITS) from None
     return document_to_chain(doc)
 
 

@@ -3,7 +3,8 @@
 Subcommands operate on chain files (JSON, exact rationals) and grid-function
 files (text), print a key = value report ending in a VERDICT line, and can
 write result chains back out.  Exit codes: 0 success, 1 I/O or parse error,
-2 validation failure (a named precondition of some module was violated, or
+2 validation failure (a named precondition of some module was violated, an
+input exceeded a named size limit, exact arithmetic or memory ran out, or
 the command line itself was malformed).  Every randomized command takes a
 --seed and is fully deterministic given it.
 """
@@ -16,10 +17,10 @@ from fractions import Fraction
 
 from .approx import (ApproxBudget, ApproxError, cycle_extension,
                      disjoint_representative)
-from .chainfile import (ChainFileError, emit_chain, load_chain,
-                        load_grid_function, chain_to_document, group_from_tag,
-                        parse_chain, rational_str, save_chain,
-                        save_grid_function)
+from .chainfile import (ChainFileError, InputLimitError, emit_chain,
+                        load_chain, load_grid_function, chain_to_document,
+                        group_from_tag, parse_chain, parse_rational,
+                        rational_str, save_chain, save_grid_function)
 from .chains import ChainError
 from .coarea import verify_coarea
 from .flatnorm import CertificateError, flat_norm, flat_norm_oracle
@@ -35,6 +36,7 @@ from .simplex_lp import LPError
 
 _MODULE_OF = (
     (ChainFileError, "cli"),
+    (InputLimitError, "chainfile"),
     (GenError, "gen"),
     (GroupError, "groups"),
     (GeometryError, "geometry"),
@@ -64,16 +66,17 @@ def _parse_grid(text: str):
 
 def _fraction_arg(text: str, flag: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text, flag)
+    except ChainFileError:
         raise ChainFileError("%s expects a rational like 1/10 or 0.1, got %r"
                              % (flag, text)) from None
 
 
 def _chain_summary(rep: Report, prefix: str, chain):
+    mass = chain.mass_exact()
     rep.add(prefix + "_terms", len(chain))
-    rep.add(prefix + "_mass_exact", chain.mass_exact())
-    rep.add(prefix + "_mass", chain.mass())
+    rep.add(prefix + "_mass_exact", mass)
+    rep.add(prefix + "_mass", float(mass))
 
 
 # -- command handlers ---------------------------------------------------------
@@ -86,8 +89,9 @@ def _cmd_mass(args) -> Report:
     rep.add("dim", chain.dim)
     rep.add("group", chain.group.tag)
     rep.add("terms", len(chain))
-    rep.add("mass_exact", chain.mass_exact())
-    rep.add("mass", chain.mass())
+    mass = chain.mass_exact()
+    rep.add("mass_exact", mass)
+    rep.add("mass", float(mass))
     return rep
 
 
@@ -435,8 +439,9 @@ def main(argv=None) -> int:
         return 1
     except (GroupError, GeometryError, GridError, ChainError, LPError,
             CertificateError, ApproxError, LiftError, GenError,
-            ValueError) as exc:
-        print("error [%s]: %s" % (_module_of(exc), exc), file=sys.stderr)
+            ValueError, ArithmeticError, MemoryError) as exc:
+        print("error [%s]: %s" % (_module_of(exc), str(exc) or type(exc).__name__),
+              file=sys.stderr)
         return 2
     rep.write(sys.stdout, getattr(args, "report", None))
     return 0 if rep.passed else 2

@@ -10,14 +10,15 @@ form the program is
     min  sum vol_k |r| + sum vol_{k+1} |q|   s.t.   r + B q = p
 
 split into nonnegative parts, where B is the signed incidence matrix.
-The sign-adjusted slack columns of r give a starting identity basis, so
-the solvers never need a phase-1.
+One assembly, ``_flat_program``, builds its nonzero entries; the
+sign-adjusted slack columns of r give the exact route a starting identity
+basis, so it never needs a phase-1.
 
 Two deliberately independent routes:
 
-* ``flat_norm``: float simplex; the filling is snapped to small rationals
-  and the residual recomputed exactly, so the returned witness satisfies
-  R + boundary(Q) = P as an exact chain identity.
+* ``flat_norm``: HiGHS dual simplex on the float program; the filling is
+  snapped to small rationals and the residual recomputed exactly, so the
+  returned witness satisfies R + boundary(Q) = P as an exact chain identity.
 * ``flat_norm_oracle``: exact simplex over Fractions with exact volume
   objective, plus a from-scratch optimality certificate on the raw data.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,17 +62,49 @@ def _require_real(chain: PolyChain):
         raise ChainError("flat norm is defined for real or integer coefficients")
 
 
-def _problem_shape(chain: PolyChain):
+class _FlatProgram(NamedTuple):
+    """The equality-form flat-norm program of a k-chain, shared by both routes.
+
+    Columns are r+, r-, q+, q- in that order, each row is multiplied by the
+    sign of its entry of p, and `basis` lists the slack columns that then
+    form an identity."""
+    nr: int
+    nq: int
+    p: list
+    inc: tuple
+    rows: list      # (rows[i], cols[i], vals[i]): the nonzero entries of A
+    cols: list
+    vals: list
+    b: list         # |p| as Fractions
+    c: list         # exact simplex volumes
+    basis: list
+
+
+def _flat_program(chain: PolyChain) -> _FlatProgram:
     complex = chain.complex
     k = chain.dim
-    d = complex.ambient_dim
     nr = complex.count(k)
-    nq = complex.count(k + 1) if k < d else 0
+    nq = complex.count(k + 1) if k < complex.ambient_dim else 0
     p = complex.chain_vector(chain)
     inc = complex.incidence(k + 1) if nq else ()
     signs = [1 if v >= 0 else -1 for v in p]
-    basis = [i if p[i] >= 0 else nr + i for i in range(nr)]
-    return k, nr, nq, p, inc, signs, basis
+    rows, cols, vals = [], [], []
+    for i, s in enumerate(signs):
+        rows += (i, i)
+        cols += (i, nr + i)
+        vals += (s, -s)
+    for j, row in enumerate(inc):
+        for face, sign in row:
+            v = signs[face] * sign
+            rows += (face, face)
+            cols += (2 * nr + j, 2 * nr + nq + j)
+            vals += (v, -v)
+    vol_r = [s.volume() for s in complex.simplices(k)]
+    vol_q = [s.volume() for s in complex.simplices(k + 1)] if nq else []
+    return _FlatProgram(nr=nr, nq=nq, p=p, inc=inc, rows=rows, cols=cols, vals=vals,
+                        b=[abs(Fraction(v)) for v in p],
+                        c=vol_r + vol_r + vol_q + vol_q,
+                        basis=[i if p[i] >= 0 else nr + i for i in range(nr)])
 
 
 def _witness_chains(chain: PolyChain, r_vec, q_vec, nq: int) -> tuple[PolyChain, PolyChain]:
@@ -95,32 +129,20 @@ def _replay_ok(chain: PolyChain, residual: PolyChain, filling: PolyChain) -> boo
 def flat_norm(chain: PolyChain, snap_denominator: int = 10 ** 6) -> FlatWitness:
     """Float-route flat norm with an exactly replaying witness."""
     _require_real(chain)
-    k, nr, nq, p, inc, signs, basis = _problem_shape(chain)
-    complex = chain.complex
+    prog = _flat_program(chain)
+    nr, nq = prog.nr, prog.nq
 
-    ncols = 2 * nr + 2 * nq
-    a = np.zeros((nr, ncols))
-    for i in range(nr):
-        a[i, i] = signs[i]
-        a[i, nr + i] = -signs[i]
-    for j, row in enumerate(inc):
-        for face, sign in row:
-            v = signs[face] * sign
-            a[face, 2 * nr + j] = v
-            a[face, 2 * nr + nq + j] = -v
-    b = np.array([abs(float(v)) for v in p])
-    vol_r = [float(s.volume()) for s in complex.simplices(k)]
-    vol_q = [float(s.volume()) for s in complex.simplices(k + 1)] if nq else []
-    c = np.array(vol_r + vol_r + vol_q + vol_q)
-
-    x, obj, _ = simplex_lp.solve_float(a, b, c, basis)
+    a = np.zeros((nr, len(prog.c)))
+    a[prog.rows, prog.cols] = prog.vals
+    x, obj = simplex_lp.solve_float(a, np.array([float(v) for v in prog.b]),
+                                    np.array([float(v) for v in prog.c]))
 
     q_vec = [Fraction(x[2 * nr + j] - x[2 * nr + nq + j]).limit_denominator(snap_denominator)
              for j in range(nq)]
-    r_vec = [Fraction(v) for v in p]
+    r_vec = [Fraction(v) for v in prog.p]
     for j, qj in enumerate(q_vec):
         if qj:
-            for face, sign in inc[j]:
+            for face, sign in prog.inc[j]:
                 r_vec[face] -= sign * qj
     residual, filling = _witness_chains(chain, r_vec, q_vec, nq)
     if not _replay_ok(chain, residual, filling):
@@ -132,26 +154,15 @@ def flat_norm_oracle(chain: PolyChain) -> FlatWitness:
     """Exact-route flat norm: Fraction tableau, radical objective row, and
     an independent optimality certificate recomputed from the raw data."""
     _require_real(chain)
-    k, nr, nq, p, inc, signs, basis = _problem_shape(chain)
-    complex = chain.complex
+    prog = _flat_program(chain)
+    nr, nq, b, c = prog.nr, prog.nq, prog.b, prog.c
 
-    ncols = 2 * nr + 2 * nq
     zero = Fraction(0)
-    a_rows = [[zero] * ncols for _ in range(nr)]
-    for i in range(nr):
-        a_rows[i][i] = Fraction(signs[i])
-        a_rows[i][nr + i] = Fraction(-signs[i])
-    for j, row in enumerate(inc):
-        for face, sign in row:
-            v = Fraction(signs[face] * sign)
-            a_rows[face][2 * nr + j] = v
-            a_rows[face][2 * nr + nq + j] = -v
-    b = [abs(Fraction(v)) for v in p]
-    vol_r = [s.volume() for s in complex.simplices(k)]
-    vol_q = [s.volume() for s in complex.simplices(k + 1)] if nq else []
-    c = vol_r + vol_r + list(vol_q) + list(vol_q)
+    a_rows = [[zero] * len(c) for _ in range(nr)]
+    for i, j, v in zip(prog.rows, prog.cols, prog.vals):
+        a_rows[i][j] = Fraction(v)
 
-    x, obj, final_basis = simplex_lp.solve_exact(a_rows, b, c, basis)
+    x, obj, final_basis = simplex_lp.solve_exact(a_rows, b, c, prog.basis)
     if not simplex_lp.check_certificate(a_rows, b, c, final_basis):
         raise CertificateError("exact flat norm basis failed its optimality certificate")
 

@@ -1,16 +1,18 @@
-"""Dense simplex solvers for equality-form linear programs.
+"""Simplex solvers for equality-form linear programs.
 
     minimize c . x   subject to   A x = b,  x >= 0
 
-Callers supply a starting basis whose columns form an identity in A and a
-nonnegative right-hand side, so no phase-1 is ever needed (the flat-norm
-programs always have one:  split slack columns indexed by the sign of b).
-
 Two independent routes:
 
-* ``solve_float``: numpy tableau, Bland's rule, fixed pivot tolerance.
+* ``solve_float``: HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp.
+  10, 2018) through scipy, on a sparse copy of A.
 * ``solve_exact``: Fraction tableau with an ordered-field objective row
   (entries may be RadicalSum), so degeneracy and optimality tests are exact.
+  Callers supply a starting basis whose columns form an identity in A and a
+  nonnegative right-hand side, so no phase-1 is ever needed (the flat-norm
+  programs always have one: split slack columns indexed by the sign of b).
+  Bland's rule picks the pivots; each pivot touches only the pivot row's
+  nonzero columns.
 
 ``check_certificate`` re-derives optimality of a basis from the raw data
 (basic solution feasible, all reduced costs nonnegative) without reusing
@@ -41,52 +43,23 @@ class PivotLimit(LPError):
 _MAX_PIVOTS = 200000
 
 
-def solve_float(a, b, c, basis, tol=1e-9):
-    """Returns (x, objective, basis). `a[:, basis]` must be the identity."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = a.shape
-    if m and b.min() < -tol:
-        raise LPError("negative right-hand side; basis is not feasible")
-    basis = list(basis)
-    t = np.empty((m, n + 1))
-    t[:, :n] = a
-    t[:, n] = b
-    z = c - c[basis] @ t[:, :n]
+def solve_float(a, b, c):
+    """Returns (x, objective) for min c.x, a x = b, x >= 0, where `a` is a
+    dense 2-D array; HiGHS's dual simplex solves it on a sparse copy.
 
-    for _ in range(_MAX_PIVOTS):
-        entering = -1
-        for j in range(n):
-            if z[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            break
-        col = t[:, entering]
-        best = -1
-        best_ratio = None
-        for i in range(m):
-            if col[i] > tol:
-                ratio = t[i, n] / col[i]
-                if best < 0 or ratio < best_ratio - tol or (
-                        abs(ratio - best_ratio) <= tol and basis[i] < basis[best]):
-                    best, best_ratio = i, ratio
-        if best < 0:
-            raise Unbounded("objective unbounded below")
-        piv = t[best, entering]
-        t[best] /= piv
-        for i in range(m):
-            if i != best and t[i, entering] != 0.0:
-                t[i] -= t[i, entering] * t[best]
-        z = z - z[entering] * t[best, :n]
-        basis[best] = entering
-    else:
-        raise PivotLimit("pivot limit reached")
+    scipy is imported here, not at module level: importing scipy.optimize
+    costs far more than a small solve, and most callers never solve an LP.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
 
-    x = np.zeros(n)
-    x[basis] = t[:, n]
-    return x, float(c @ x), basis
+    res = linprog(c, A_eq=csr_array(np.asarray(a, dtype=float)), b_eq=b,
+                  bounds=(0, None), method="highs-ds")
+    if res.status == 3:
+        raise Unbounded("objective unbounded below")
+    if res.status != 0:
+        raise LPError(res.message)
+    return res.x, float(res.fun)
 
 
 def _rad(v) -> RadicalSum:
@@ -94,11 +67,9 @@ def _rad(v) -> RadicalSum:
 
 
 def solve_exact(a_rows, b, c, basis):
-    """Exact twin of solve_float.
-
-    a_rows/b carry Fractions; c entries may be Fractions or RadicalSums.
-    Returns (x, objective, basis) with x a list of Fractions and the
-    objective a RadicalSum.
+    """Exact route: a_rows/b carry Fractions; c entries may be Fractions or
+    RadicalSums.  Returns (x, objective, basis) with x a list of Fractions
+    and the objective a RadicalSum.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
@@ -106,14 +77,17 @@ def solve_exact(a_rows, b, c, basis):
         if v < 0:
             raise LPError("negative right-hand side; basis is not feasible")
     basis = list(basis)
-    t = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(a_rows, b)]
+    t = [[v if type(v) is Fraction else Fraction(v) for v in row] + [Fraction(rhs)]
+         for row, rhs in zip(a_rows, b)]
     c = [_rad(v) for v in c]
     z = list(c)
     for i, bi in enumerate(basis):
         cb = c[bi]
         if not cb.is_zero():
             row = t[i]
-            z = [zj - cb * row[j] for j, zj in enumerate(z[:n])]
+            for j in range(n):
+                if row[j]:
+                    z[j] = z[j] - cb * row[j]
 
     for _ in range(_MAX_PIVOTS):
         entering = -1
@@ -134,18 +108,23 @@ def solve_exact(a_rows, b, c, basis):
                     best, best_ratio = i, ratio
         if best < 0:
             raise Unbounded("objective unbounded below")
-        piv = t[best][entering]
-        if piv != 1:
-            t[best] = [v / piv for v in t[best]]
+        # Rows are updated in place, and only at the pivot row's nonzero
+        # columns: every other entry of an update would subtract zero.
         prow = t[best]
-        for i in range(m):
-            if i != best:
-                f = t[i][entering]
-                if f:
-                    t[i] = [v - f * w for v, w in zip(t[i], prow)]
+        nz = [j for j, v in enumerate(prow) if v]
+        piv = prow[entering]
+        if piv != 1:
+            for j in nz:
+                prow[j] /= piv
+        for i, row in enumerate(t):
+            f = row[entering]
+            if f and i != best:
+                for j in nz:
+                    row[j] -= f * prow[j]
         ze = z[entering]
         if not ze.is_zero():
-            z = [zj - ze * prow[j] for j, zj in enumerate(z[:n])]
+            for j in (nz[:-1] if prow[n] else nz):
+                z[j] = z[j] - ze * prow[j]
         basis[best] = entering
     else:
         raise PivotLimit("pivot limit reached")

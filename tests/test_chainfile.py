@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from polychain.chainfile import (ChainFileError, emit_chain, emit_grid_function,
+from polychain.chainfile import (MAX_RATIONAL_DIGITS, ChainFileError,
+                                 InputLimitError, emit_chain, emit_grid_function,
                                  load_chain, parse_chain, parse_grid_function,
                                  parse_rational, save_chain, save_grid_function,
                                  load_grid_function)
@@ -103,6 +104,24 @@ def test_parse_rational_rejects_floats_and_bools():
     for bad in (0.5, True, [1], "1/0", "abc"):
         with pytest.raises(ChainFileError):
             parse_rational(bad, "here")
+
+
+def test_parse_rational_refuses_oversized_input():
+    assert parse_rational("-2.5e+2", "here") == -250
+    assert parse_rational("9" * MAX_RATIONAL_DIGITS, "here") == 10 ** MAX_RATIONAL_DIGITS - 1
+    for big in ("1e200000", "1e-200000", "1e" + "9" * 5000, "1e1_000_000",
+                "1e%d" % MAX_RATIONAL_DIGITS, "1/" + "3" * (MAX_RATIONAL_DIGITS + 1),
+                10 ** MAX_RATIONAL_DIGITS):
+        with pytest.raises(InputLimitError):
+            parse_rational(big, "here")
+    with pytest.raises(InputLimitError):
+        parse_grid_function("1 1\n1e200000\n")
+    doc = '{"ambient_dim": 1, "dim": 0, "group": "real", "simplices": ' \
+          '[{"vertices": [["0"]], "coeff": %s}]}'
+    for digits in (MAX_RATIONAL_DIGITS + 1, 5000):
+        with pytest.raises(InputLimitError):
+            parse_chain(doc % ("9" * digits))
+    assert parse_chain(doc % "7").mass_exact().as_rational() == 7
 
 
 def test_save_and_load_files(tmp_path):

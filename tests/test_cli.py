@@ -147,6 +147,47 @@ def test_missing_file_is_an_io_error(tmp_path, capsys):
     assert err.startswith("error [cli]:")
 
 
+def test_oversized_rational_is_refused_with_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(HALF_SEGMENT.replace('"1/2"', '"1e200000"'))
+    code, out, err = run(capsys, "mass", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [chainfile]:") and "MAX_RATIONAL_DIGITS" in err
+    code, _, err = run(capsys, "cycle-extend", str(path), "--epsilon", "1e-200000")
+    assert code == 2 and "MAX_RATIONAL_DIGITS" in err
+
+
+def test_arithmetic_and_memory_errors_exit_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "seg.json"
+    path.write_text(HALF_SEGMENT)
+    for exc, shown in ((ArithmeticError("sign undecided"), "sign undecided"),
+                       (MemoryError(), "MemoryError")):
+        def fail(*args, exc=exc):
+            raise exc
+        monkeypatch.setattr(PolyChain, "mass_exact", fail)
+        code, out, err = run(capsys, "mass", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error [core]: %s\n" % shown
+
+
+def test_chain_summary_computes_each_mass_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "square.json"
+    save_chain(grid_complex(2, 1).full_chain(REAL), str(src))
+    calls = []
+    mass_exact = PolyChain.mass_exact
+
+    def counted(self):
+        calls.append(self)
+        return mass_exact(self)
+    monkeypatch.setattr(PolyChain, "mass_exact", counted)
+    code, out, _ = run(capsys, "boundary", str(src))
+    assert code == 0
+    assert "input_mass = 1.0" in out and "boundary_mass = 4.0" in out
+    assert len(calls) == 2
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "gen", "chain", "--grid", "2,2")[0] == 2  # missing --out

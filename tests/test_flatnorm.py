@@ -1,7 +1,11 @@
 """Flat norm LP: frozen values, witness replay, dual-route agreement."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from polychain.chains import ChainError, PolyChain
@@ -10,6 +14,7 @@ from polychain.gen import random_chain
 from polychain.grid import grid_complex
 from polychain.groups import CIRCLE, INTEGER, REAL
 from polychain.radicals import RadicalSum
+import polychain
 from polychain import simplex_lp
 
 F = Fraction
@@ -180,3 +185,34 @@ def test_certificate_referee_rejects_a_wrong_basis():
     assert simplex_lp.check_certificate(a_rows, b, c, final)
     # the all-slack starting basis keeps the full perimeter: not optimal
     assert not simplex_lp.check_certificate(a_rows, b, c, starting)
+
+
+def test_routes_agree_on_larger_grids():
+    for d, n, k in ((2, 3, 1), (2, 4, 1), (3, 2, 2)):
+        for seed in range(5):
+            ch = random_chain(seed, d, n, k, terms=5)
+            lp = flat_norm(ch)
+            oracle = flat_norm_oracle(ch)
+            assert abs(lp.value - float(oracle.value_exact)) < 1e-7
+            for w in (lp, oracle):
+                assert w.residual + w.filling.boundary() == ch
+
+
+def test_solve_float_reports_unbounded_and_infeasible_programs():
+    # min -x1 s.t. x0 - x1 = 1: x1 can grow without limit
+    with pytest.raises(simplex_lp.Unbounded):
+        simplex_lp.solve_float(np.array([[1.0, -1.0]]), [1.0], [0.0, -1.0])
+    # x0 + x1 = -1 has no nonnegative solution
+    with pytest.raises(simplex_lp.LPError) as info:
+        simplex_lp.solve_float(np.array([[1.0, 1.0]]), [-1.0], [1.0, 1.0])
+    assert not isinstance(info.value, simplex_lp.Unbounded)
+
+
+def test_import_does_not_load_the_lp_solver():
+    # scipy.optimize takes far longer to import than most commands run
+    src = os.path.dirname(os.path.dirname(polychain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, polychain; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
