@@ -37,7 +37,6 @@ class ApproxBudget:
     epsilon: Fraction = Fraction(1, 10)
     max_stages: int = 40
     stop_fraction: Fraction = Fraction(1, 1000)
-    lp_delta: float = 1e-6
 
     def stage_fraction(self, n: int) -> Fraction:
         return self.epsilon / 2 ** (n + 2)

@@ -19,15 +19,17 @@ rationals in row-major order (the function is zero outside the unit box).
 
 ChainFileError marks structural problems (malformed document, bad rational,
 unknown field); InputLimitError marks well-formed input past a named size
-limit (MAX_RATIONAL_DIGITS); semantic violations raised while building the
-chain (wrong coefficient for the group, simplex off the grid) propagate from
-the core modules unchanged so callers can tell them apart.
+limit (MAX_RATIONAL_DIGITS, MAX_GRID_SIMPLICES); semantic violations raised
+while building the chain (wrong coefficient for the group, simplex off the
+grid) propagate from the core modules unchanged so callers can tell them
+apart.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import factorial
 
 from .chains import PolyChain
 from .coarea import GridFunction
@@ -48,6 +50,11 @@ class InputLimitError(ValueError):
 # digits.  Exponent notation is checked before Fraction expands 10**exp, so
 # a short string such as "1e200000" cannot request a huge integer.
 MAX_RATIONAL_DIGITS = 1000
+
+# Largest grid a chain file may request, in top simplices (n^d * d!).  The
+# complex is built eagerly, in time and memory about proportional to this:
+# d=3 n=12 (10368 top simplices) takes about 4 s.
+MAX_GRID_SIMPLICES = 20000
 
 
 # -- rationals ------------------------------------------------------------
@@ -152,7 +159,12 @@ def document_to_chain(doc) -> PolyChain:
         cx = _require(doc, "complex", dict, "chain")
         if cx.get("type") != "kuhn":
             raise ChainFileError("complex: only type 'kuhn' is supported")
-        complex = grid_complex(ambient, _require(cx, "n", int, "complex"))
+        n = _require(cx, "n", int, "complex")
+        # grid_complex refuses other dimensions and resolutions itself
+        if 1 <= ambient <= 3 and n >= 1 and n ** ambient * factorial(ambient) > MAX_GRID_SIMPLICES:
+            raise InputLimitError("complex: n=%d in R^%d exceeds MAX_GRID_SIMPLICES = %d"
+                                  % (n, ambient, MAX_GRID_SIMPLICES))
+        complex = grid_complex(ambient, n)
     raw = _require(doc, "simplices", list, "chain")
     items = []
     for i, entry in enumerate(raw):

@@ -13,7 +13,10 @@ and cone constructions rely on this).
 The free backend ("soup") performs no geometric merging: simplices that
 overlap without being identical coexist, so a soup mass is an upper bound
 for the mass of the underlying current.  Chains tagged with a complex are
-validated to be supported on it.
+validated to be supported on it, and hold the complex's interned simplices
+(`GridComplex.intern`) as their keys, so each grid cell's hash and volume
+are computed once per process; their boundaries are read off the
+complex's incidence table instead of being built from vertex tuples.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 from . import geometry
 from .geometry import AffineMap, Simplex, canonical, faces
-from .groups import Group
+from .groups import REAL, Group
 from .radicals import RadicalSum
 
 
@@ -48,6 +51,9 @@ class PolyChain:
         """Canonicalize (vertices, coeff) pairs into a chain."""
         if not 0 <= dim <= ambient_dim:
             raise ChainError("chain dimension %d out of range for R^%d" % (dim, ambient_dim))
+        if complex is not None and complex.ambient_dim != ambient_dim:
+            raise ChainError("chain in R^%d on a complex in R^%d"
+                             % (ambient_dim, complex.ambient_dim))
         terms: dict[Simplex, Fraction] = {}
         for vertices, coeff in items:
             verts, sign = canonical(vertices)
@@ -61,16 +67,15 @@ class PolyChain:
             if sign < 0:
                 g = group.neg(g)
             s = Simplex(verts)
+            if complex is not None:
+                s = complex.intern(dim, s)
             if s in terms:
                 g = group.add(terms[s], g)
             if g:
                 terms[s] = g
             else:
                 terms.pop(s, None)
-        chain = cls(group, ambient_dim, dim, terms, complex)
-        if complex is not None:
-            complex.validate_chain(chain)
-        return chain
+        return cls(group, ambient_dim, dim, terms, complex)
 
     @classmethod
     def zero(cls, group: Group, ambient_dim: int, dim: int, complex=None) -> "PolyChain":
@@ -156,17 +161,35 @@ class PolyChain:
                 terms[simplex] = v
         return PolyChain(self.group, self.ambient_dim, self.dim, terms, self.complex)
 
+    def as_real(self) -> "PolyChain":
+        """The same chain with its real or integer coefficients read as
+        reals; keys and complex are kept."""
+        if self.group.tag not in ("real", "integer"):
+            raise ChainError("%s coefficients do not read as reals" % self.group.tag)
+        if self.group is REAL:
+            return self
+        return PolyChain(REAL, self.ambient_dim, self.dim,
+                         {s: Fraction(c) for s, c in self.terms.items()}, self.complex)
+
     # -- boundary and mass ----------------------------------------------------
 
     def boundary(self) -> "PolyChain":
         if self.dim == 0:
             raise ChainError("0-chains have no boundary")
-        g = self.group
+        k, g, cx = self.dim, self.group, self.complex
+        if cx is None:
+            def signed_faces(simplex):
+                # faces of sorted tuples stay sorted
+                return [(Simplex(fv), sign) for fv, sign in faces(simplex.vertices)]
+        else:
+            incidence, lower = cx.incidence(k), cx.simplices(k - 1)
+
+            def signed_faces(simplex):
+                return [(lower[f], sign) for f, sign in incidence[cx.index_of(k, simplex)]]
         terms: dict[Simplex, Fraction] = {}
         for simplex, coeff in self.terms.items():
-            for face_verts, sign in faces(simplex.vertices):
+            for s, sign in signed_faces(simplex):
                 c = coeff if sign > 0 else g.neg(coeff)
-                s = Simplex(face_verts)  # faces of sorted tuples stay sorted
                 if s in terms:
                     c = g.add(terms[s], c)
                 if c:

@@ -121,12 +121,6 @@ def level_slices(u: GridFunction) -> list:
     return slices
 
 
-def _as_real(chain: PolyChain) -> PolyChain:
-    return PolyChain(REAL, chain.ambient_dim, chain.dim,
-                     {s: Fraction(c) for s, c in chain.terms.items()},
-                     chain.complex)
-
-
 @dataclass
 class CoareaReport:
     boundary_mass: Fraction
@@ -149,7 +143,7 @@ def verify_coarea(u: GridFunction) -> CoareaReport:
     combined = PolyChain.zero(REAL, u.ambient_dim, u.ambient_dim - 1)
     for sl in slices:
         rhs += sl.width * sl.chain.mass_exact().as_rational()
-        combined = combined + _as_real(sl.chain).scale(sl.width)
+        combined = combined + sl.chain.as_real().scale(sl.width)
     identity = combined == boundary
     return CoareaReport(boundary_mass=lhs, slice_mass=rhs, gap=lhs - rhs,
                         slice_count=len(slices), chain_identity=identity)

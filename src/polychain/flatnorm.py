@@ -120,10 +120,7 @@ def _witness_chains(chain: PolyChain, r_vec, q_vec, nq: int) -> tuple[PolyChain,
 
 def _replay_ok(chain: PolyChain, residual: PolyChain, filling: PolyChain) -> bool:
     total = residual + filling.boundary() if not filling.is_zero() else residual
-    reference = chain if chain.group is REAL else \
-        PolyChain(REAL, chain.ambient_dim, chain.dim,
-                  {s: Fraction(c) for s, c in chain.terms.items()}, chain.complex)
-    return total.terms == reference.terms
+    return total.terms == chain.as_real().terms
 
 
 def flat_norm(chain: PolyChain, snap_denominator: int = 10 ** 6) -> FlatWitness:

@@ -71,9 +71,7 @@ def random_integral_boundary_chain(seed, d: int, n: int, k: int,
     if not 1 <= k < d:
         raise GenError("integral-boundary chains need 1 <= k < d")
     rng = _rng(seed)
-    base = random_chain(rng, d, n, k, INTEGER, terms)
-    base = PolyChain(REAL, d, k, {s: Fraction(c) for s, c in base.terms.items()},
-                     base.complex)
+    base = random_chain(rng, d, n, k, INTEGER, terms).as_real()
     for _ in range(32):
         wiggle = random_chain(rng, d, n, k + 1, REAL, terms).boundary()
         out = base + wiggle

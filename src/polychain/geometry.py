@@ -117,6 +117,8 @@ class GeometryError(ValueError):
 
 
 def as_point(coords) -> Point:
+    if type(coords) is tuple and all(type(c) is Fraction for c in coords):
+        return coords
     return tuple(Fraction(c) for c in coords)
 
 
@@ -140,9 +142,16 @@ def canonical(vertices) -> tuple[Vertices, int]:
 
 
 class Simplex:
-    """Oriented k-simplex: ordered rational vertices, orientation = order."""
+    """Oriented k-simplex: ordered rational vertices, orientation = order.
 
-    __slots__ = ("vertices", "_sqvol", "_vol")
+    Immutable: the vertices never change after construction, so the hash
+    is computed once, and the squared volume, volume and bounding box are
+    cached on first use.  Grid complexes hand out one shared object per
+    cell (see GridComplex.intern), so those caches are filled once per
+    cell in a process.
+    """
+
+    __slots__ = ("vertices", "_hash", "_sqvol", "_vol", "_bbox")
 
     def __init__(self, vertices):
         verts = tuple(as_point(v) for v in vertices)
@@ -154,8 +163,10 @@ class Simplex:
         if len(verts) > d + 1:
             raise GeometryError("more vertices than ambient dimension allows")
         self.vertices = verts
+        self._hash = hash(verts)
         self._sqvol = None
         self._vol = None
+        self._bbox = None
 
     @property
     def dim(self) -> int:
@@ -190,15 +201,19 @@ class Simplex:
         return self.sq_volume() == 0
 
     def bbox(self):
-        los = tuple(min(v[i] for v in self.vertices) for i in range(self.ambient_dim))
-        his = tuple(max(v[i] for v in self.vertices) for i in range(self.ambient_dim))
-        return los, his
+        if self._bbox is None:
+            cols = tuple(zip(*self.vertices))
+            self._bbox = tuple(map(min, cols)), tuple(map(max, cols))
+        return self._bbox
 
     def __eq__(self, other):
-        return isinstance(other, Simplex) and self.vertices == other.vertices
+        if self is other:
+            return True
+        return (isinstance(other, Simplex) and self._hash == other._hash
+                and self.vertices == other.vertices)
 
     def __hash__(self):
-        return hash(self.vertices)
+        return self._hash
 
     def __lt__(self, other):
         return self.vertices < other.vertices
@@ -391,10 +406,11 @@ def overlap_dim_at_least(s1: Simplex, s2: Simplex, k: int) -> bool:
     return overlap_dim(s1, s2) >= k
 
 
-def point_in_simplex(point, s: Simplex) -> bool:
-    """Exact membership test (closed simplex)."""
+def point_in_simplex(point, s: Simplex, hull=None) -> bool:
+    """Exact membership test (closed simplex).  `hull` is s's H-description
+    from _hull_constraints, for callers that test many points."""
     p = as_point(point)
-    eqs, ineqs = _hull_constraints(s)
+    eqs, ineqs = _hull_constraints(s) if hull is None else hull
     for row, rhs in eqs:
         if sum(a * b for a, b in zip(row, p)) != rhs:
             return False
@@ -404,5 +420,7 @@ def point_in_simplex(point, s: Simplex) -> bool:
     return True
 
 
-def simplex_in_simplex(inner: Simplex, outer: Simplex) -> bool:
-    return all(point_in_simplex(v, outer) for v in inner.vertices)
+def simplex_in_simplex(inner: Simplex, outer: Simplex, hull=None) -> bool:
+    if hull is None:
+        hull = _hull_constraints(outer)
+    return all(point_in_simplex(v, outer, hull) for v in inner.vertices)

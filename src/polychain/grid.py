@@ -8,6 +8,8 @@ grid by any integer ratio refines every simplex of the coarse grid.
 
 All coordinates are Fractions; ids are positions in the vertex-sorted
 simplex lists, so two complexes with equal parameters enumerate identically.
+Each simplex of a complex is one stored object (`intern` returns it), so
+its hash and volume are computed once however many chains use it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from . import chains as _chains
-from .geometry import Simplex, canonical, faces, solve_linear, det, simplex_in_simplex
+from .geometry import (Simplex, _hull_constraints, canonical, det, faces,
+                       simplex_in_simplex, solve_linear)
 from .radicals import RadicalSum
 
 
@@ -106,6 +109,10 @@ class GridComplex:
             return self._index[k][s]
         except KeyError:
             raise GridError("simplex not on this complex: %r" % (s,))
+
+    def intern(self, k: int, s: Simplex) -> Simplex:
+        """The complex's own k-simplex object equal to s."""
+        return self._simplices[k][self.index_of(k, s)]
 
     def contains(self, s: Simplex) -> bool:
         table = self._index.get(s.dim)
@@ -211,6 +218,10 @@ class GridComplex:
             tuple(map(str, self.origin)), self.side)
 
 
+# Complexes kept by grid_complex; past this many the oldest is dropped.  A
+# dropped complex stays valid for the chains that hold it, and a rebuilt one
+# has equal simplices, since simplices compare by their vertices.
+MAX_CACHED_GRIDS = 16
 _CACHE: dict[tuple, GridComplex] = {}
 
 
@@ -222,7 +233,10 @@ def grid_complex(ambient_dim: int, resolution: int, origin=None, side=1) -> Grid
         origin = tuple(Fraction(x) for x in origin)
     key = (ambient_dim, resolution, origin, side)
     if key not in _CACHE:
-        _CACHE[key] = GridComplex(ambient_dim, resolution, origin, side)
+        cx = GridComplex(ambient_dim, resolution, origin, side)
+        if len(_CACHE) >= MAX_CACHED_GRIDS:
+            del _CACHE[next(iter(_CACHE))]
+        _CACHE[key] = cx
     return _CACHE[key]
 
 
@@ -234,10 +248,11 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
     """
     if chain.ambient_dim != target.ambient_dim:
         raise GridError("ambient dimension mismatch")
-    if chain.complex is not None and chain.complex.same_as(target):
-        return _chains.PolyChain(chain.group, chain.ambient_dim, chain.dim,
-                                 dict(chain.terms), target)
     k = chain.dim
+    if chain.complex is not None and chain.complex.same_as(target):
+        return _chains.PolyChain(chain.group, chain.ambient_dim, k,
+                                 {target.intern(k, s): c for s, c in chain.terms.items()},
+                                 target)
     group = chain.group
     if k == 0:
         items = []
@@ -252,6 +267,7 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
         if sigma.is_degenerate():
             raise GridError("cannot re-express a zero-volume term")
         lo, hi = sigma.bbox()
+        hull = _hull_constraints(sigma)
         base = sigma.edges()
         # rows of the (d x k) system expressing a vector in sigma's edge basis
         basis_rows = [[base[j][i] for j in range(k)] for i in range(chain.ambient_dim)]
@@ -260,7 +276,7 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
             tlo, thi = t.bbox()
             if any(a < b for a, b in zip(tlo, lo)) or any(a > b for a, b in zip(thi, hi)):
                 continue
-            if not simplex_in_simplex(t, sigma):
+            if not simplex_in_simplex(t, sigma, hull):
                 continue
             coords = []
             for e in t.edges():

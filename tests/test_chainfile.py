@@ -1,10 +1,11 @@
 """Chain and grid-function files: round trips and parse diagnostics."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from polychain.chainfile import (MAX_RATIONAL_DIGITS, ChainFileError,
+from polychain.chainfile import (MAX_GRID_SIMPLICES, MAX_RATIONAL_DIGITS, ChainFileError,
                                  InputLimitError, emit_chain, emit_grid_function,
                                  load_chain, parse_chain, parse_grid_function,
                                  parse_rational, save_chain, save_grid_function,
@@ -122,6 +123,28 @@ def test_parse_rational_refuses_oversized_input():
         with pytest.raises(InputLimitError):
             parse_chain(doc % ("9" * digits))
     assert parse_chain(doc % "7").mass_exact().as_rational() == 7
+
+
+def test_oversized_grid_is_refused_before_it_is_built(monkeypatch):
+    from polychain import chainfile
+
+    doc = '{"ambient_dim": %d, "dim": 0, "group": "real", "complex": ' \
+          '{"type": "kuhn", "n": %d}, "simplices": []}'
+    built = []
+
+    def small_stand_in(d, n):
+        built.append((d, n))
+        return grid_complex(d, 1)
+
+    monkeypatch.setattr(chainfile, "grid_complex", small_stand_in)
+    for d in (1, 2, 3):
+        largest = max(n for n in range(1, 30000) if n ** d * factorial(d) <= MAX_GRID_SIMPLICES)
+        parse_chain(doc % (d, largest))
+        assert built[-1] == (d, largest)
+        for n in (largest + 1, 10 ** 6):
+            with pytest.raises(InputLimitError, match="MAX_GRID_SIMPLICES"):
+                parse_chain(doc % (d, n))
+    assert len(built) == 3
 
 
 def test_save_and_load_files(tmp_path):

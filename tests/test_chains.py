@@ -194,3 +194,15 @@ def test_mass_measure_restriction():
     restricted = ch.restrict(some)
     assert len(restricted) == 1
     assert (restricted.mass_exact() - mm.restrict(some)).is_zero()
+
+
+def test_as_real_keeps_the_simplices_and_the_complex():
+    cx = grid_complex(2, 2)
+    ints = cx.full_chain(INTEGER, 3).boundary()
+    real = ints.as_real()
+    assert real.group is REAL and real.complex is cx
+    assert list(real.terms.items()) == list(ints.terms.items())
+    assert all(a is b for a, b in zip(real.terms, ints.terms))
+    assert real.as_real() is real
+    with pytest.raises(ChainError):
+        cx.full_chain(CIRCLE, F(1, 3)).as_real()

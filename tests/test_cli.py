@@ -158,6 +158,17 @@ def test_oversized_rational_is_refused_with_exit_2(tmp_path, capsys):
     assert code == 2 and "MAX_RATIONAL_DIGITS" in err
 
 
+def test_oversized_grid_is_refused_with_exit_2(tmp_path, capsys):
+    # just past the limit, so that a missing check costs seconds, not the memory
+    path = tmp_path / "big-grid.json"
+    path.write_text('{"ambient_dim": 3, "dim": 0, "group": "real", '
+                    '"complex": {"type": "kuhn", "n": 15}, "simplices": []}')
+    code, out, err = run(capsys, "mass", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [chainfile]:") and "MAX_GRID_SIMPLICES" in err
+
+
 def test_arithmetic_and_memory_errors_exit_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "seg.json"
     path.write_text(HALF_SEGMENT)

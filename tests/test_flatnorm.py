@@ -11,7 +11,7 @@ import pytest
 from polychain.chains import ChainError, PolyChain
 from polychain.flatnorm import flat_distance, flat_norm, flat_norm_oracle
 from polychain.gen import random_chain
-from polychain.grid import grid_complex
+from polychain.grid import embed_on, grid_complex
 from polychain.groups import CIRCLE, INTEGER, REAL
 from polychain.radicals import RadicalSum
 import polychain
@@ -111,10 +111,30 @@ def test_routes_agree_on_seeded_chains():
 
 
 def test_norm_never_exceeds_mass():
-    for seed in range(8):
-        ch = random_chain(seed, 2, 2, 1, terms=6)
-        w = flat_norm_oracle(ch)
-        assert (ch.mass_exact() - w.value_exact).sign() >= 0
+    for d, n, k, seeds in ((2, 2, 1, range(8)), (3, 1, 1, range(3)), (3, 1, 2, range(3))):
+        for seed in seeds:
+            ch = random_chain(seed, d, n, k, terms=6)
+            w = flat_norm_oracle(ch)
+            assert (ch.mass_exact() - w.value_exact).sign() >= 0
+
+
+def test_refinement_never_increases_the_norm():
+    fine = grid_complex(2, 4)
+    for seed in range(3):
+        ch = random_chain(seed, 2, 2, 1, terms=5)
+        coarse = flat_norm_oracle(ch).value_exact
+        refined = flat_norm_oracle(embed_on(fine, ch)).value_exact
+        assert (refined - coarse).sign() <= 0
+
+
+def test_triangle_inequality():
+    for d, n, k in ((2, 2, 1), (3, 1, 1), (3, 1, 2)):
+        for seed in range(3):
+            a = random_chain(2 * seed, d, n, k, terms=4)
+            b = random_chain(2 * seed + 1, d, n, k, terms=4)
+            both = flat_norm_oracle(a + b).value_exact
+            apart = flat_norm_oracle(a).value_exact + flat_norm_oracle(b).value_exact
+            assert (both - apart).sign() <= 0
 
 
 def test_integer_chains_allowed_circle_rejected():

@@ -4,11 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from polychain import geometry, grid
+from polychain.approx import shrink_toward
 from polychain.chains import PolyChain
+from polychain.gen import random_chain
+from polychain.geometry import Simplex
 from polychain.grid import GridError, embed_on, grid_complex
 from polychain.groups import INTEGER, REAL
 
 F = Fraction
+
+
+def pt(*coords):
+    return tuple(F(c) for c in coords)
 
 
 def test_counts_d2_single_cube():
@@ -143,3 +151,122 @@ def test_simplex_lookup_round_trip():
             s = cx.simplex(k, i)
             assert cx.index_of(k, s) == i
             assert cx.contains(s)
+
+
+# (d, n) of a small grid per dimension, for the seeded chain checks
+GRIDS = ((1, 4), (2, 3), (3, 2))
+
+
+def _stored(cx, k, s):
+    return cx.simplex(k, cx.index_of(k, s))
+
+
+def test_complex_boundary_matches_vertex_tuple_boundary():
+    for d, n in GRIDS:
+        cx = grid_complex(d, n)
+        for k in range(1, d + 1):
+            for seed in range(4):
+                ch = random_chain(seed, d, n, k, terms=6)
+                assert all(s is _stored(cx, k, s) for s in ch.terms)
+                free = PolyChain.build(REAL, d, k, [(s.vertices, c) for s, c in ch.terms.items()])
+                bd, free_bd = ch.boundary(), free.boundary()
+                assert free_bd.complex is None and bd.complex is cx
+                assert list(bd.terms.items()) == list(free_bd.terms.items())
+                assert all(s is _stored(cx, k - 1, s) for s in bd.terms)
+
+
+def test_warm_boundary_mass_builds_no_simplex_and_no_determinant(monkeypatch):
+    cx = grid_complex(3, 2)
+    for k in range(4):
+        for s in cx.simplices(k):
+            s.volume()
+        if k:
+            cx.incidence(k)
+    chains = [random_chain(seed, 3, 2, k, terms=8) for seed in range(3) for k in (1, 2, 3)]
+    calls = {"det": 0, "init": 0}
+    det, init = geometry.det, Simplex.__init__
+
+    def counting_det(rows):
+        calls["det"] += 1
+        return det(rows)
+
+    def counting_init(self, vertices):
+        calls["init"] += 1
+        init(self, vertices)
+
+    monkeypatch.setattr(geometry, "det", counting_det)
+    monkeypatch.setattr(Simplex, "__init__", counting_init)
+    for ch in chains:
+        ch.boundary().mass_exact()
+    assert calls == {"det": 0, "init": 0}
+    # the counters see the vertex-tuple route, which builds its faces
+    triangle = (pt(0, 0, 0), pt(1, 0, 0), pt(1, 1, 1))
+    PolyChain.build(REAL, 3, 2, [(triangle, 1)]).boundary().mass_exact()
+    assert calls["init"] > 0 and calls["det"] > 0
+
+
+def test_grid_cache_drops_its_oldest_complex(monkeypatch):
+    monkeypatch.setattr(grid, "_CACHE", {})
+    monkeypatch.setattr(grid, "MAX_CACHED_GRIDS", 2)
+    first = grid_complex(2, 2)
+    loop = first.full_chain(REAL).boundary()
+    grid_complex(2, 3)
+    grid_complex(2, 4)
+    assert len(grid._CACHE) == 2
+    rebuilt = grid_complex(2, 2)
+    assert rebuilt is not first
+    again = rebuilt.full_chain(REAL).boundary()
+    assert again == loop and (again - loop).is_zero()
+    assert embed_on(rebuilt, loop).complex is rebuilt
+    assert all(s is _stored(rebuilt, 1, s) for s in embed_on(rebuilt, loop).terms)
+
+
+def _solve_cramer(columns, rhs):
+    """Exact x with sum_j x_j columns[j] = rhs for a regular square system."""
+    rows = [list(r) for r in zip(*columns)]
+    base = geometry.det(rows)
+    out = []
+    for j in range(len(columns)):
+        swapped = [row[:j] + [b] + row[j + 1:] for row, b in zip(rows, rhs)]
+        out.append(geometry.det(swapped) / base)
+    return out
+
+
+def _contains(outer, point):
+    """Is the point in the closed simplex?  Least-squares barycentric
+    coordinates from the Gram system, then an exact residual check."""
+    v0 = outer.vertices[0]
+    edges = [tuple(a - b for a, b in zip(v, v0)) for v in outer.vertices[1:]]
+    rel = tuple(a - b for a, b in zip(point, v0))
+    gram = [[sum(a * b for a, b in zip(e, f)) for f in edges] for e in edges]
+    lam = _solve_cramer(gram, [sum(a * b for a, b in zip(e, rel)) for e in edges])
+    back = tuple(sum(l * e[i] for l, e in zip(lam, edges)) for i in range(len(v0)))
+    return back == rel and all(l >= 0 for l in lam) and sum(lam) <= 1
+
+
+def _brute_force_embed(fine, chain):
+    """Every fine k-simplex inside a term, signed by the sign of
+    det(E_t E_sigma^T), which is det(C) det(Gram_sigma) for E_t = C E_sigma."""
+    k = chain.dim
+    items = []
+    for sigma, coeff in chain.terms.items():
+        sig_edges = sigma.edges()
+        for t in fine.simplices(k):
+            if all(_contains(sigma, v) for v in t.vertices):
+                cross = [[sum(a * b for a, b in zip(e, f)) for f in sig_edges] for e in t.edges()]
+                items.append((t.vertices, coeff if geometry.det(cross) > 0 else -coeff))
+    return PolyChain.build(chain.group, chain.ambient_dim, k, items, complex=fine)
+
+
+def test_embed_on_matches_brute_force_reference():
+    cases = [(random_chain(seed, 2, 2, k, terms=4), grid_complex(2, 4))
+             for seed in range(3) for k in (1, 2)]
+    cases += [(random_chain(seed, 3, 1, k, terms=3), grid_complex(3, 2))
+              for seed in range(2) for k in (1, 2, 3)]
+    # a shrunken soup chain, which lands on the 2*2*n refinement
+    soup, _ = shrink_toward(random_chain(7, 2, 2, 1, terms=4), (F(1, 2), F(1, 2)), F(1, 2))
+    cases.append((soup, grid_complex(2, 8)))
+    for chain, fine in cases:
+        got = embed_on(fine, chain)
+        assert got == _brute_force_embed(fine, chain)
+        assert all(s is _stored(fine, chain.dim, s) for s in got.terms)
