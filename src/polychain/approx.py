@@ -51,14 +51,10 @@ class StageRecord:
     piece: PolyChain
     remainder: PolyChain
     filling: PolyChain
-    piece_mass: float
-    remainder_mass: float
-    budget_mass: float
 
 
 @dataclass
 class StageReport:
-    initial_mass: float
     stages: list = field(default_factory=list)
     epsilon_terminal: RadicalSum = field(default_factory=RadicalSum)
     identity_checked: bool = False
@@ -226,7 +222,7 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
     if k >= d:
         raise ApproxError("disjoint representative needs k < d")
     total = chain.mass_exact()
-    report = StageReport(initial_mass=float(total))
+    report = StageReport()
     if chain.is_zero():
         report.identity_checked = True
         report.terminal_remainder = chain
@@ -282,9 +278,7 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
             raise ApproxError("stage identity failed to replay")
         report.stages.append(StageRecord(
             index=n, shrink_ratio=lam, direction=direction, shift=shift,
-            piece=piece, remainder=transport, filling=filling,
-            piece_mass=piece.mass(), remainder_mass=transport.mass(),
-            budget_mass=float(stage_budget)))
+            piece=piece, remainder=transport, filling=filling))
         pieces.append(piece)
         x = transport
     else:

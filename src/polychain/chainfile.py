@@ -51,18 +51,13 @@ class InputLimitError(ValueError):
 # a short string such as "1e200000" cannot request a huge integer.
 MAX_RATIONAL_DIGITS = 1000
 
-# Largest grid a chain file may request, in top simplices (n^d * d!).  The
-# complex is built eagerly, in time and memory about proportional to this:
-# d=3 n=12 (10368 top simplices) takes about 4 s.
+# Largest grid a chain file or `gen --grid` may request, in top simplices
+# (n^d * d!).  The complex is built eagerly, in time and memory about
+# proportional to this: d=3 n=12 (10368 top simplices) takes about 4 s.
 MAX_GRID_SIMPLICES = 20000
 
 
 # -- rationals ------------------------------------------------------------
-
-
-def rational_str(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
 
 
 def _exceeds_digit_limit(n: int) -> bool:
@@ -131,8 +126,8 @@ def chain_to_document(chain: PolyChain) -> dict:
     integral = chain.group.tag != "real" and chain.group.tag != "circle"
     for simplex, coeff in chain.items_sorted():
         doc["simplices"].append({
-            "vertices": [[rational_str(x) for x in v] for v in simplex.vertices],
-            "coeff": int(coeff) if integral else rational_str(coeff),
+            "vertices": [[str(x) for x in v] for v in simplex.vertices],
+            "coeff": int(coeff) if integral else str(coeff),
         })
     return doc
 
@@ -148,6 +143,15 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
+def check_grid_size(d: int, n: int, where: str):
+    """Refuse a Kuhn grid past MAX_GRID_SIMPLICES top simplices (n^d * d!)
+    before anything builds it; grid_complex refuses other dimensions and
+    resolutions itself."""
+    if 1 <= d <= 3 and n >= 1 and n ** d * factorial(d) > MAX_GRID_SIMPLICES:
+        raise InputLimitError("%s: n=%d in R^%d exceeds MAX_GRID_SIMPLICES = %d"
+                              % (where, n, d, MAX_GRID_SIMPLICES))
+
+
 def document_to_chain(doc) -> PolyChain:
     if not isinstance(doc, dict):
         raise ChainFileError("chain document must be a JSON object")
@@ -160,10 +164,7 @@ def document_to_chain(doc) -> PolyChain:
         if cx.get("type") != "kuhn":
             raise ChainFileError("complex: only type 'kuhn' is supported")
         n = _require(cx, "n", int, "complex")
-        # grid_complex refuses other dimensions and resolutions itself
-        if 1 <= ambient <= 3 and n >= 1 and n ** ambient * factorial(ambient) > MAX_GRID_SIMPLICES:
-            raise InputLimitError("complex: n=%d in R^%d exceeds MAX_GRID_SIMPLICES = %d"
-                                  % (n, ambient, MAX_GRID_SIMPLICES))
+        check_grid_size(ambient, n, "complex")
         complex = grid_complex(ambient, n)
     raw = _require(doc, "simplices", list, "chain")
     items = []
@@ -223,7 +224,7 @@ def emit_grid_function(u: GridFunction) -> str:
     n = u.resolution
     row = n if u.ambient_dim > 1 else len(u.values)
     for start in range(0, len(u.values), row):
-        lines.append(" ".join(rational_str(v) for v in u.values[start:start + row]))
+        lines.append(" ".join(map(str, u.values[start:start + row])))
     return "\n".join(lines) + "\n"
 
 

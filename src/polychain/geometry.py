@@ -7,7 +7,10 @@ of the sorting permutation into a sign so chains can store sorted tuples.
 
 Tangency and overlap predicates are decided exactly with small rational
 linear algebra (row reduction, vertex enumeration of intersection
-polytopes); no floating point is involved.
+polytopes); no floating point is involved.  All of that linear algebra,
+and the LP module's basis solves, use one elimination kernel:
+`gauss_jordan`, of which `mat_rank`, `solve_linear` and `det` are thin
+wrappers.
 """
 
 from __future__ import annotations
@@ -23,28 +26,62 @@ Vertices = tuple  # tuple[Point, ...]
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra (row vectors as lists of Fractions)
+# exact linear algebra: one elimination kernel (row vectors as lists)
+
+
+def gauss_jordan(rows, ncols=None):
+    """Gauss-Jordan reduction over Q: the one elimination kernel behind
+    mat_rank, solve_linear, det and simplex_lp.solve_square.
+
+    `rows` is copied, never changed.  Pivots are taken in the leading
+    `ncols` columns (all columns by default), which hold Fractions; later
+    columns are carried along as augmented columns and may hold any values
+    forming a vector space over Q, such as RadicalSums.  Each column's pivot
+    is its first nonzero entry at or below the current rank, and a pivot
+    step touches only the pivot row's nonzero columns.
+
+    Returns (reduced, pivots, det): the reduced row echelon form (pivots 1,
+    zero above and below them), the pivot column of each of its first
+    len(pivots) rows, and the determinant of the leading block, which is 0
+    when that block is singular or not square.
+    """
+    m = [list(r) for r in rows]
+    if ncols is None:
+        ncols = len(m[0]) if m else 0
+    pivots = []
+    determinant = Fraction(1)
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            determinant = -determinant
+        prow = m[rank]
+        pv = prow[col]
+        determinant *= pv
+        # a pivot row is zero left of its pivot column
+        nz = [j for j in range(col, len(prow)) if prow[j]]
+        if pv != 1:
+            inv = Fraction(1) / pv
+            for j in nz:
+                prow[j] = prow[j] * inv
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != rank:
+                for j in nz:
+                    row[j] = row[j] - prow[j] * f
+        pivots.append(col)
+    if len(pivots) != len(m) or len(m) != ncols:
+        determinant = Fraction(0)
+    return m, pivots, determinant
 
 
 def mat_rank(rows) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    return len(gauss_jordan(rows)[1])
 
 
 def solve_linear(a_rows, b):
@@ -53,23 +90,9 @@ def solve_linear(a_rows, b):
     Returns (x, nullspace_basis).  Underdetermined systems return the
     particular solution with free variables set to zero.
     """
-    rows = [list(r) + [bv] for r, bv in zip(a_rows, b)]
     ncols = len(a_rows[0]) if a_rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b2 for a, b2 in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
+    rows, pivots, _ = gauss_jordan([list(r) + [bv] for r, bv in zip(a_rows, b)], ncols)
+    rank = len(pivots)
     for i in range(rank, len(rows)):
         if rows[i][ncols] != 0:
             return None
@@ -88,24 +111,7 @@ def solve_linear(a_rows, b):
 
 
 def det(rows) -> Fraction:
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign = 1
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        out *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return out * sign
+    return gauss_jordan(rows)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -319,14 +325,11 @@ def _hull_constraints(s: Simplex):
         return eqs, ineqs
     gram = [[sum(a * b for a, b in zip(e1, e2)) for e2 in edges] for e1 in edges]
     # rows of Gram^{-1} E give barycentric coordinates t = G^{-1} E (x - v0)
-    ident = [[Fraction(1 if i == j else 0) for j in range(k)] for i in range(k)]
-    ginv_cols = []
-    for col in range(k):
-        sol = solve_linear(gram, [ident[r][col] for r in range(k)])
-        if sol is None:
-            raise GeometryError("degenerate simplex has no H-description")
-        ginv_cols.append(sol[0])
-    ginv = [[ginv_cols[c][r] for c in range(k)] for r in range(k)]
+    reduced, pivots, _ = gauss_jordan(
+        [row + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(gram)], k)
+    if len(pivots) < k:
+        raise GeometryError("degenerate simplex has no H-description")
+    ginv = [row[k:] for row in reduced]
     bary_rows = []
     for i in range(k):
         row = [sum(ginv[i][j] * edges[j][c] for j in range(k)) for c in range(d)]

@@ -39,10 +39,7 @@ class LiftError(ValueError):
 class LiftReport:
     route: str
     d_used: int
-    input_mass: float
-    output_mass: float
     guaranteed_ratio: float
-    theta: Fraction | None = None
     passes: int | None = None
 
 
@@ -265,11 +262,7 @@ def loop_cancel(chain: PolyChain):
         raise LiftError("loop cancellation changed the boundary")
     if (current.mass_exact() - in_mass).sign() > 0:
         raise LiftError("loop cancellation increased mass")
-    report = LiftReport(route="loop", d_used=1,
-                        input_mass=float(in_mass),
-                        output_mass=current.mass(),
-                        guaranteed_ratio=1.0, passes=passes)
-    return current, report
+    return current, LiftReport(route="loop", d_used=1, guaranteed_ratio=1.0, passes=passes)
 
 
 # ---------------------------------------------------------------------------
@@ -389,40 +382,35 @@ def lift_flat(chain: PolyChain, epsilon=Fraction(1, 10)):
 
     if k == 0 or k == d:
         lifted = lift_coefficientwise(chain)
-        report = LiftReport(route="coefficientwise", d_used=0,
-                            input_mass=float(in_mass),
-                            output_mass=lifted.mass(),
-                            guaranteed_ratio=1.0)
-        return lifted, report
-
-    if k != 1 and k != d - 1:
-        raise LiftError("flat lift supports k in {0, 1, d-1, d}")
-    if chain.complex is None:
-        raise LiftError("flat lift needs a complex-backed chain")
-    d_used = 1 if k == 1 else 6
-
-    # T = rest + cycle part: rest keeps the boundary, so the coefficientwise
-    # lift of (T - rest) has integral boundary and can be made integral by
-    # the bounded-ratio correction; subtracting that correction from the
-    # coefficientwise lift of T keeps the projection exactly T.
-    whole = lift_coefficientwise(chain)
-    if chain.boundary().is_zero():
-        defect = whole
+        if lifted.mass_exact() != in_mass:
+            raise LiftError("coefficient-wise lift changed the mass")
+        route, d_used, ratio = "coefficientwise", 0, Fraction(1)
     else:
-        if k == 1:
-            rest, _ = disjoint_representative(chain, ApproxBudget(epsilon=epsilon))
+        if k != 1 and k != d - 1:
+            raise LiftError("flat lift supports k in {0, 1, d-1, d}")
+        if chain.complex is None:
+            raise LiftError("flat lift needs a complex-backed chain")
+
+        # T = rest + cycle part: rest keeps the boundary, so the coefficientwise
+        # lift of (T - rest) has integral boundary and can be made integral by
+        # the bounded-ratio correction; subtracting that correction from the
+        # coefficientwise lift of T keeps the projection exactly T.
+        whole = lift_coefficientwise(chain)
+        if chain.boundary().is_zero():
+            defect = whole
         else:
-            rest = chain
-        defect = whole - lift_coefficientwise(rest)
-    corrected, d_used = br_correct(defect, route="loop" if k == 1 else "fill")
-    lifted = whole - corrected
+            if k == 1:
+                rest, _ = disjoint_representative(chain, ApproxBudget(epsilon=epsilon))
+            else:
+                rest = chain
+            defect = whole - lift_coefficientwise(rest)
+        route = "loop" if k == 1 else "fill"
+        corrected, d_used = br_correct(defect, route=route)
+        lifted = whole - corrected
+        ratio = (2 + 2 * d_used) * (1 + epsilon)
+        if (lifted.mass_exact() - in_mass * ratio).sign() > 0:
+            raise LiftError("flat lift mass bound violated")
 
     if project_chain(lifted) != chain:
         raise LiftError("flat lift failed to project back")
-    ratio = (2 + 2 * d_used) * (1 + epsilon)
-    if (lifted.mass_exact() - in_mass * ratio).sign() > 0:
-        raise LiftError("flat lift mass bound violated")
-    report = LiftReport(route="loop" if k == 1 else "fill", d_used=d_used,
-                        input_mass=float(in_mass), output_mass=lifted.mass(),
-                        guaranteed_ratio=float(ratio))
-    return lifted, report
+    return lifted, LiftReport(route=route, d_used=d_used, guaranteed_ratio=float(ratio))

@@ -239,14 +239,15 @@ class RadicalSum:
             total += float(c) * approx
         return total
 
-    def __repr__(self):
+    def __str__(self):
+        """Closed form with radicands ascending, e.g. "1/2 + 3*sqrt(2)"."""
         if not self.terms:
-            return "RadicalSum(0)"
-        parts = []
-        for rad in sorted(self.terms):
-            c = self.terms[rad]
-            parts.append(str(c) if rad == 1 else "%s*sqrt(%d)" % (c, rad))
-        return "RadicalSum(%s)" % " + ".join(parts)
+            return "0"
+        return " + ".join(str(c) if rad == 1 else "%s*sqrt(%d)" % (c, rad)
+                          for rad, c in sorted(self.terms.items()))
+
+    def __repr__(self):
+        return "RadicalSum(%s)" % self
 
 
 ZERO = RadicalSum()

@@ -7,28 +7,10 @@ report text.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .radicals import RadicalSum
-
 
 def format_value(value) -> str:
     if isinstance(value, bool):
         return "PASS" if value else "FAIL"
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else \
-            "%d/%d" % (value.numerator, value.denominator)
-    if isinstance(value, RadicalSum):
-        if not value.terms:
-            return "0"
-        parts = []
-        for rad in sorted(value.terms):
-            c = value.terms[rad]
-            parts.append(format_value(Fraction(c)) if rad == 1
-                         else "%s*sqrt(%d)" % (format_value(Fraction(c)), rad))
-        return " + ".join(parts)
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .geometry import gauss_jordan
 from .radicals import RadicalSum
 
 
@@ -140,30 +141,14 @@ def solve_exact(a_rows, b, c, basis):
 
 
 def solve_square(a_rows, rhs):
-    """Gaussian solve with Fraction pivots; rhs entries form a Fraction
-    vector space (Fractions or RadicalSums).  Raises LPError if singular."""
+    """Solve a square Fraction system by the geometry elimination kernel;
+    rhs entries form a vector space over Q (Fractions or RadicalSums).
+    Raises LPError if singular."""
     n = len(a_rows)
-    a = [list(map(Fraction, row)) for row in a_rows]
-    r = list(rhs)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise LPError("singular basis matrix")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            r[col], r[piv] = r[piv], r[col]
-        pv = a[col][col]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                r[i] = r[i] - r[col] * f
-    out = []
-    for i in range(n):
-        pv = a[i][i]
-        ri = r[i]
-        out.append(ri / pv if isinstance(ri, (int, Fraction)) else ri * (Fraction(1) / pv))
-    return out
+    reduced, pivots, _ = gauss_jordan([list(row) + [v] for row, v in zip(a_rows, rhs)], n)
+    if len(pivots) < n:
+        raise LPError("singular basis matrix")
+    return [row[n] for row in reduced]
 
 
 def check_certificate(a_rows, b, c, basis) -> bool:

@@ -1,12 +1,16 @@
 """End-to-end command-line runs, in process, against temp files."""
 
 import json
+import os
+import re
+import sys
 from fractions import Fraction
 
 from polychain.chainfile import load_chain, save_chain
 from polychain.chains import PolyChain
 from polychain.cli import main
-from polychain.grid import grid_complex
+from polychain.gen import random_circle_top, random_integral_boundary_chain
+from polychain.grid import GridComplex, grid_complex
 from polychain.groups import REAL
 
 F = Fraction
@@ -169,6 +173,24 @@ def test_oversized_grid_is_refused_with_exit_2(tmp_path, capsys):
     assert err.startswith("error [chainfile]:") and "MAX_GRID_SIMPLICES" in err
 
 
+def test_gen_refuses_an_oversized_grid_before_building_it(tmp_path, capsys, monkeypatch):
+    built = []
+    init = GridComplex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(GridComplex, "__init__", counted)
+    out_file = tmp_path / "c.json"
+    code, out, err = run(capsys, "gen", "chain", "--grid", "3,15", "--dim", "1",
+                         "--seed", "1", "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [chainfile]:") and "MAX_GRID_SIMPLICES" in err
+    assert not out_file.exists()
+    assert built == []
+
+
 def test_arithmetic_and_memory_errors_exit_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "seg.json"
     path.write_text(HALF_SEGMENT)
@@ -197,6 +219,36 @@ def test_chain_summary_computes_each_mass_once(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "input_mass = 1.0" in out and "boundary_mass = 4.0" in out
     assert len(calls) == 2
+
+
+def test_cli_does_not_recompute_bounds_the_library_checked(tmp_path, capsys, monkeypatch):
+    # lift_top_optimal, loop_cancel and br_correct check every bound these
+    # commands report, so cli.py computes masses only to report each chain,
+    # once per chain; the --theta route checks its own bounds here
+    calls = []
+    for name in ("mass_exact", "boundary"):
+        def counted(self, _original=getattr(PolyChain, name), _name=name):
+            caller = sys._getframe(1).f_code
+            if os.path.basename(caller.co_filename) == "cli.py":
+                calls.append((_name, caller.co_name))
+            return _original(self)
+        monkeypatch.setattr(PolyChain, name, counted)
+    top, codim, loop = (str(tmp_path / name) for name in ("top.json", "codim.json", "loop.json"))
+    save_chain(random_circle_top(5, 2, 5), top)
+    save_chain(random_integral_boundary_chain(5, 3, 2, 2), codim)
+    save_chain(random_integral_boundary_chain(5, 2, 3, 1), loop)
+    theta_route = [("boundary", "_cmd_lift"), ("mass_exact", "_cmd_lift")]
+    for argv, extra in ((["lift", top], []),
+                        (["lift", top, "--theta", "37/91"], theta_route),
+                        (["cancel-loops", loop], []),
+                        (["br-correct", codim, "--route", "fill"], [])):
+        calls.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        reported = re.findall(r"^\w+_terms = \d+$", out, re.M)
+        summaries = [("mass_exact", "_chain_summary")] * len(reported)
+        assert len(summaries) == 2
+        assert sorted(calls) == sorted(summaries + extra), argv
 
 
 def test_usage_errors_exit_2(capsys):

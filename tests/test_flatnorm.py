@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -135,6 +136,23 @@ def test_triangle_inequality():
             both = flat_norm_oracle(a + b).value_exact
             apart = flat_norm_oracle(a).value_exact + flat_norm_oracle(b).value_exact
             assert (both - apart).sign() <= 0
+
+
+def test_norm_is_invariant_under_grid_symmetries():
+    # the Kuhn grid of the unit box is mapped onto itself by every
+    # coordinate permutation and by the central reflection x -> 1 - x
+    for d, n, k in ((2, 2, 1), (3, 1, 1)):
+        maps = [lambda v, p=p: tuple(v[i] for i in p)
+                for p in list(permutations(range(d)))[1:]]
+        maps.append(lambda v: tuple(1 - x for x in v))
+        for seed in range(3):
+            ch = random_chain(seed, d, n, k, terms=5)
+            value = flat_norm_oracle(ch).value_exact
+            for f in maps:
+                items = [(tuple(map(f, s.vertices)), c) for s, c in ch.terms.items()]
+                image = PolyChain.build(ch.group, d, k, items, complex=ch.complex)
+                assert image != ch
+                assert flat_norm_oracle(image).value_exact == value
 
 
 def test_integer_chains_allowed_circle_rejected():

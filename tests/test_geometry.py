@@ -1,13 +1,17 @@
 """Exact simplex geometry: volumes, orientation, hull intersections."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
+import sympy
 
 from polychain.geometry import (AffineMap, GeometryError, Simplex, canonical,
-                                det, is_tangent, overlap_dim,
+                                det, is_tangent, mat_rank, overlap_dim,
                                 overlap_dim_at_least, point_in_simplex,
                                 simplex_in_simplex, solve_linear)
+from polychain.radicals import RadicalSum
+from polychain.simplex_lp import LPError, solve_square
 
 F = Fraction
 
@@ -52,6 +56,81 @@ def test_det_and_solve():
     assert x == [F(1, 2), F(1, 2)]
     assert nullspace == []
     assert solve_linear([[F(1)], [F(0)]], [F(0), F(1)]) is None
+
+
+def random_matrix(rng, rows, cols, rank=None):
+    """Seeded rational matrix; with `rank`, a product of rows x rank and
+    rank x cols factors, so its rank is at most that."""
+    def entries(r, c):
+        return [[F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(c)] for _ in range(r)]
+    if rank is None:
+        return entries(rows, cols)
+    left, right = entries(rows, rank), entries(rank, cols)
+    return [[sum((left[i][t] * right[t][j] for t in range(rank)), F(0)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def as_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in rows])
+
+
+def as_fractions(vec):
+    return [F(int(sympy.fraction(v)[0]), int(sympy.fraction(v)[1])) for v in vec]
+
+
+# (rows, cols, rank of the factorization or None for a generic matrix)
+SHAPES = [(3, 3, None), (4, 4, None), (4, 4, 2), (3, 3, 1), (2, 5, None),
+          (5, 2, None), (4, 6, 3), (6, 4, 3), (1, 1, None), (3, 3, 0)]
+
+
+def test_elimination_agrees_with_sympy():
+    rng = Random(20231)
+    for rows, cols, rank in SHAPES * 4:
+        a = random_matrix(rng, rows, cols, rank)
+        ref = as_sympy(a)
+        assert mat_rank(a) == ref.rank()
+        if rows == cols:
+            assert det(a) == ref.det()
+        # a right-hand side in the column space, then a random one, which
+        # rank-deficient matrices mostly cannot reach
+        for b in ([sum((x * y for x, y in zip(row, random_matrix(rng, 1, cols)[0])), F(0))
+                   for row in a],
+                  [F(rng.randint(-5, 5)) for _ in range(rows)]):
+            sol = solve_linear(a, b)
+            try:
+                expected, params = ref.gauss_jordan_solve(as_sympy([b]).T)
+            except ValueError:  # sympy: the system is inconsistent
+                assert sol is None
+                continue
+            x, null = sol
+            assert x == as_fractions(expected.subs({t: 0 for t in params}))
+            ref_null = ref.nullspace()
+            assert len(null) == len(ref_null) == cols - ref.rank()
+            if null:
+                both = sympy.Matrix.hstack(as_sympy(null).T, *ref_null)
+                assert both.rank() == len(null)
+                assert all(v == 0 for v in ref * as_sympy(null).T)
+
+
+def test_solve_square_with_radical_right_hand_sides():
+    rng = Random(7)
+    radicands = (1, 2, 3)
+    for n in (1, 2, 3, 5):
+        a = random_matrix(rng, n, n)
+        while det(a) == 0:
+            a = random_matrix(rng, n, n)
+        parts = {r: [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                 for r in radicands}
+
+        def combine(vectors):
+            return [sum((RadicalSum.sqrt_rational(r) * vectors[r][i] for r in radicands),
+                        RadicalSum()) for i in range(n)]
+        solved = {r: solve_square(a, parts[r]) for r in radicands}
+        assert solved[1] == as_fractions(as_sympy(a).LUsolve(as_sympy([parts[1]]).T))
+        assert solve_square(a, combine(parts)) == combine(solved)
+    with pytest.raises(LPError):
+        solve_square([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
 
 
 def test_tangency():
