@@ -19,10 +19,10 @@ rationals in row-major order (the function is zero outside the unit box).
 
 ChainFileError marks structural problems (malformed document, bad rational,
 unknown field); InputLimitError marks well-formed input past a named size
-limit (MAX_RATIONAL_DIGITS, MAX_GRID_SIMPLICES); semantic violations raised
-while building the chain (wrong coefficient for the group, simplex off the
-grid) propagate from the core modules unchanged so callers can tell them
-apart.
+limit (MAX_RATIONAL_DIGITS, MAX_GRID_SIMPLICES, MAX_EXACT_LP_ROWS); semantic
+violations raised while building the chain (wrong coefficient for the group,
+simplex off the grid) propagate from the core modules unchanged so callers
+can tell them apart.
 """
 
 from __future__ import annotations
@@ -55,6 +55,12 @@ MAX_RATIONAL_DIGITS = 1000
 # (n^d * d!).  The complex is built eagerly, in time and memory about
 # proportional to this: d=3 n=12 (10368 top simplices) takes about 4 s.
 MAX_GRID_SIMPLICES = 20000
+
+# Largest flat-norm program the exact route (flat_norm_oracle, `flatnorm
+# --exact`) may solve, in rows: the k-simplices of the chain's grid.
+# Bland's rule over Fractions grows fast with the grid: d=2 n=8 k=1
+# (208 rows) takes about 1 s, d=3 n=3 k=1 (279 rows) about 6 s.
+MAX_EXACT_LP_ROWS = 256
 
 
 # -- rationals ------------------------------------------------------------

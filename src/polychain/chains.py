@@ -199,11 +199,17 @@ class PolyChain:
         return PolyChain(self.group, self.ambient_dim, self.dim - 1, terms, self.complex)
 
     def mass_exact(self) -> RadicalSum:
-        total = RadicalSum()
+        # sum the rational weights per volume radicand first, so the chain
+        # builds one RadicalSum and folds each radicand into it once
+        weights = {}
         for simplex, coeff in self.terms.items():
             n = self.group.norm(coeff)
             if n:
-                total = total + simplex.volume() * n
+                for rad, c in simplex.volume().terms.items():
+                    weights[rad] = weights.get(rad, 0) + c * n
+        total = RadicalSum()
+        for rad, w in weights.items():
+            total._insert(rad, w)
         return total
 
     def mass(self) -> float:

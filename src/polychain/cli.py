@@ -118,6 +118,9 @@ def _cmd_boundary(args) -> Report:
 
 def _cmd_flatnorm(args) -> Report:
     chain = load_chain(args.file)
+    # the exact route runs first so that its size limit refuses the input
+    # before the float route does any work
+    oracle = flat_norm_oracle(chain) if args.exact else None
     witness = flat_norm(chain)
     rep = Report()
     _chain_summary(rep, "input", chain)
@@ -126,7 +129,6 @@ def _cmd_flatnorm(args) -> Report:
     rep.add("filling_mass", witness.filling.mass())
     rep.bound("witness_replay_exact", True)  # verified inside flat_norm
     if args.exact:
-        oracle = flat_norm_oracle(chain)
         rep.add("value_exact", oracle.value_exact)
         gap = abs(witness.value - float(oracle.value_exact))
         rep.add("route_gap", gap)
@@ -183,7 +185,7 @@ def _cmd_lift(args) -> Report:
             # lift_top_optimal checked all three bounds; the profile's
             # minimum is the boundary mass of this lift
             rep.bound("mass_ratio_le_3", True)
-            rep.add("boundary_mass_exact", profile.minimum()[1])
+            rep.add("boundary_mass_exact", profile.minimum[1])
             rep.bound("boundary_ratio_le_5", True)
             rep.bound("profile_integral_le_5_2", True)
         rep.bound("projection_recovers_input", project_chain(lifted) == chain)

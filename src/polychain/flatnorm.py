@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import simplex_lp
+from . import chainfile, simplex_lp
 from .chains import ChainError, PolyChain
 from .groups import REAL
 from .radicals import RadicalSum
@@ -149,8 +149,16 @@ def flat_norm(chain: PolyChain, snap_denominator: int = 10 ** 6) -> FlatWitness:
 
 def flat_norm_oracle(chain: PolyChain) -> FlatWitness:
     """Exact-route flat norm: Fraction tableau, radical objective row, and
-    an independent optimality certificate recomputed from the raw data."""
+    an independent optimality certificate recomputed from the raw data.
+
+    Programs past chainfile.MAX_EXACT_LP_ROWS rows are refused with
+    InputLimitError before any of the program is built."""
     _require_real(chain)
+    rows = chain.complex.count(chain.dim)
+    if rows > chainfile.MAX_EXACT_LP_ROWS:
+        raise chainfile.InputLimitError(
+            "exact flat norm: %d LP rows exceed MAX_EXACT_LP_ROWS = %d"
+            % (rows, chainfile.MAX_EXACT_LP_ROWS))
     prog = _flat_program(chain)
     nr, nq, b, c = prog.nr, prog.nq, prog.b, prog.c
 

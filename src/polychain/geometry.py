@@ -241,36 +241,60 @@ def faces(vertices):
 
 
 class AffineMap:
-    """x -> A x + b with exact rational entries."""
+    """x -> A x + b with exact rational entries.
 
-    __slots__ = ("matrix", "shift")
+    When A = r*I (the identity, homotheties, translations and their
+    composites, the only maps the pipeline builds) `scale` holds r and a
+    point is mapped coordinate by coordinate; otherwise `scale` is None and
+    the full matrix product is used."""
+
+    __slots__ = ("matrix", "shift", "scale")
 
     def __init__(self, matrix, shift):
         self.matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
         self.shift = as_point(shift)
+        d = len(self.matrix)
+        r = self.matrix[0][0] if d else Fraction(1)
+        scalar = all(len(row) == d for row in self.matrix) and all(
+            a == (r if i == j else 0)
+            for i, row in enumerate(self.matrix) for j, a in enumerate(row))
+        self.scale = r if scalar else None
+
+    @classmethod
+    def scalar(cls, ratio, shift) -> "AffineMap":
+        """x -> ratio*x + shift."""
+        d = len(shift)
+        return cls([[ratio if i == j else 0 for j in range(d)] for i in range(d)], shift)
 
     @classmethod
     def identity(cls, d: int) -> "AffineMap":
-        return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)],
-                   [0] * d)
+        return cls.scalar(1, [0] * d)
 
     @classmethod
     def translation(cls, vec) -> "AffineMap":
-        d = len(vec)
-        return cls([[1 if i == j else 0 for j in range(d)] for i in range(d)], vec)
+        return cls.scalar(1, vec)
 
     @classmethod
     def homothety(cls, center, ratio) -> "AffineMap":
         # x -> center + ratio*(x - center)
-        center = as_point(center)
         r = Fraction(ratio)
-        d = len(center)
-        m = [[r if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-        shift = tuple(c * (1 - r) for c in center)
-        return cls(m, shift)
+        return cls.scalar(r, tuple(c * (1 - r) for c in as_point(center)))
+
+    def compose(self, inner: "AffineMap") -> "AffineMap":
+        """The map x -> self(inner(x))."""
+        if self.scale is not None and inner.scale is not None:
+            return AffineMap.scalar(self.scale * inner.scale, self(inner.shift))
+        matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inner.matrix)]
+                  for row in self.matrix]
+        return AffineMap(matrix, self(inner.shift))
 
     def __call__(self, point) -> Point:
         p = as_point(point)
+        r = self.scale
+        if r == 1:
+            return tuple(x + s for x, s in zip(p, self.shift))
+        if r is not None:
+            return tuple(r * x + s for x, s in zip(p, self.shift))
         return tuple(sum(a * x for a, x in zip(row, p)) + s
                      for row, s in zip(self.matrix, self.shift))
 

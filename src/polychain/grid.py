@@ -36,7 +36,7 @@ def _perm_sign(perm) -> int:
 class GridComplex:
     __slots__ = ("ambient_dim", "resolution", "origin", "side",
                  "_simplices", "_index", "_top_orient", "_cube_tops",
-                 "_top_cube", "_incidence", "_coboundary")
+                 "_incidence", "_coboundary")
 
     def __init__(self, ambient_dim: int, resolution: int, origin=None, side=1):
         if ambient_dim not in (1, 2, 3):
@@ -74,7 +74,6 @@ class GridComplex:
 
         self._simplices: dict[int, tuple] = {d: tuple(t[0] for t in tops)}
         self._top_orient = tuple(t[1] for t in tops)
-        self._top_cube = tuple(t[2] for t in tops)
         cube_tops: dict[tuple, list] = {}
         for i, t in enumerate(tops):
             cube_tops.setdefault(t[2], []).append(i)
@@ -123,9 +122,6 @@ class GridComplex:
 
     def tops_of_cube(self, cube) -> tuple:
         return self._cube_tops[tuple(cube)]
-
-    def cube_of_top(self, i: int) -> tuple:
-        return self._top_cube[i]
 
     def top_orientation(self, i: int) -> int:
         return self._top_orient[i]

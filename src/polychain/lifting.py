@@ -50,13 +50,7 @@ class ThresholdProfile:
     breakpoints: tuple
     intervals: tuple  # (lo, hi, midpoint, boundary_mass)
     integral: RadicalSum
-
-    def minimum(self):
-        best = None
-        for lo, hi, mid, mass in self.intervals:
-            if best is None or (mass - best[1]).sign() < 0:
-                best = (mid, mass)
-        return best
+    minimum: tuple  # (midpoint, boundary_mass) of the first least interval
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +118,16 @@ def threshold_profile(chain: PolyChain) -> ThresholdProfile:
     points = [lo] + breaks + [hi]
     intervals = []
     integral = RadicalSum()
+    best = None
     for a, b in zip(points, points[1:]):
         mid = (a + b) / 2
         mass = lift_top_threshold(chain, mid).boundary().mass_exact()
         intervals.append((a, b, mid, mass))
         integral = integral + mass * (b - a)
-    return ThresholdProfile(breakpoints=tuple(breaks),
-                            intervals=tuple(intervals), integral=integral)
+        if best is None or (mass - best[1]).sign() < 0:
+            best = (mid, mass)
+    return ThresholdProfile(breakpoints=tuple(breaks), intervals=tuple(intervals),
+                            integral=integral, minimum=best)
 
 
 def lift_top_optimal(chain: PolyChain):
@@ -141,7 +138,7 @@ def lift_top_optimal(chain: PolyChain):
     (5/2) mass(boundary), and that the chosen boundary mass is at most
     5 mass(boundary)."""
     profile = threshold_profile(chain)
-    theta, boundary_mass = profile.minimum()
+    theta, boundary_mass = profile.minimum
     lifted = lift_top_threshold(chain, theta)
     if (lifted.mass_exact() - chain.mass_exact() * 3).sign() > 0:
         raise LiftError("mass bound 3x violated")

@@ -8,9 +8,11 @@ import pytest
 from polychain.approx import (ApproxBudget, ApproxError, cycle_extension,
                               disjoint_representative, measured_shrink_distance,
                               shrink_toward, singular_translate, telescope)
-from polychain.chains import PolyChain
+from polychain.chainfile import save_chain
+from polychain.chains import PolyChain, pushforward
+from polychain.cli import main
 from polychain.gen import random_chain, random_cycle
-from polychain.geometry import overlap_dim_at_least
+from polychain.geometry import AffineMap, overlap_dim_at_least
 from polychain.grid import grid_complex
 from polychain.groups import REAL
 
@@ -107,6 +109,56 @@ def test_disjoint_representative_stage_pieces_avoid_carriers():
                 continue
             for ref in carriers:
                 assert not overlap_dim_at_least(s, ref, 1)
+
+
+def stage_inputs(chain, report):
+    """The chain each stage decomposed: the input, then each remainder."""
+    return [chain] + [record.remainder for record in report.stages[:-1]]
+
+
+def test_stage_remainder_is_one_prism_over_the_boundary():
+    # the remainder is -prism(boundary(x_n), id, g): k terms per boundary
+    # term, where two prisms (to f, then to tau) would give up to twice that
+    for d, k, seeds in ((2, 1, (0, 3, 7)), (3, 1, (1, 2))):
+        for seed in seeds:
+            ch = random_chain(seed, d, 2, k, terms=5)
+            _, report = disjoint_representative(ch)
+            assert report.stage_count >= 2
+            for x, record in zip(stage_inputs(ch, report), report.stages):
+                assert len(record.remainder) <= k * len(x.boundary())
+
+
+def test_stage_piece_is_the_image_under_the_composed_map():
+    for d, seed in ((2, 5), (3, 2)):
+        ch = random_chain(seed, d, 2, 1, terms=4)
+        lo, hi = ch.complex.bbox()
+        center = tuple((a + b) / 2 for a, b in zip(lo, hi))
+        _, report = disjoint_representative(ch)
+        for x, record in zip(stage_inputs(ch, report), report.stages):
+            g = AffineMap.homothety(center, record.shrink_ratio)
+            if record.direction is not None:
+                shift = tuple(record.shift * c for c in record.direction)
+                g = AffineMap.translation(shift).compose(g)
+            assert record.piece == pushforward(x, g)
+            # and the stage identity replays with the stored chains
+            assert record.piece + record.remainder + record.filling.boundary() == x
+
+
+def test_seeded_approximation_reports_pass_every_bound(tmp_path, capsys):
+    for seed in (1, 4):
+        src = tmp_path / ("chain%d.json" % seed)
+        save_chain(random_chain(seed, 2, 2, 1, terms=5), str(src))
+        for command, names in (("cycle-extend", {"boundary_zero", "mass_within_bound",
+                                                 "defect_within_terminal"}),
+                               ("disjoint-rep", {"mass_within_bound",
+                                                 "boundary_preserved"})):
+            assert main([command, str(src)]) == 0
+            out = capsys.readouterr().out
+            verdicts = dict(line.split(" = ") for line in out.splitlines()
+                            if line.endswith((" = PASS", " = FAIL")))
+            assert verdicts.pop("VERDICT") == "PASS"
+            assert set(verdicts) == names
+            assert set(verdicts.values()) == {"PASS"}
 
 
 def test_disjoint_representative_of_a_cycle_is_one_stage():

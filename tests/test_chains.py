@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from polychain.chains import (ChainError, PolyChain, cone, prism, pushforward,
                               subdivide)
+from polychain.gen import random_chain
 from polychain.geometry import AffineMap
 from polychain.grid import grid_complex
 from polychain.groups import CIRCLE, INTEGER, REAL, ModPGroup
+from polychain.radicals import RadicalSum
 
 F = Fraction
 
@@ -194,6 +196,41 @@ def test_mass_measure_restriction():
     restricted = ch.restrict(some)
     assert len(restricted) == 1
     assert (restricted.mass_exact() - mm.restrict(some)).is_zero()
+
+
+def per_term_mass(chain):
+    # reference: one RadicalSum addition per term, in term order
+    total = RadicalSum()
+    for simplex, coeff in chain.terms.items():
+        n = chain.group.norm(coeff)
+        if n:
+            total = total + simplex.volume() * n
+    return total
+
+
+def test_mass_matches_the_per_term_fold_term_by_term():
+    chains = [random_chain(seed, d, 3, k, group, terms=8)
+              for seed in range(4) for d, k in ((2, 1), (3, 1), (3, 2))
+              for group in (REAL, INTEGER, CIRCLE)]
+    seen = set()
+    for ch in chains:
+        seen |= {rad for s in ch.terms for rad in s.volume().terms}
+        expect = per_term_mass(ch)
+        got = ch.mass_exact()
+        assert list(got.terms.items()) == list(expect.terms.items())
+    assert {1, 2, 3} <= seen
+    # sqrt(2 * 101^2) keeps its square factor (101 > 97 is past the trial
+    # primes), so it is folded into the sqrt(2) key, or sqrt(2) into it
+    unit = pt(0, 0), pt(1, 1)
+    far = pt(0, 0), pt(101, 101)
+    for items, key in (([seg(*far, 3), seg(*unit, F(1, 2)), seg(pt(0, 0), pt(1, 0))], 20402),
+                       ([seg(*unit, F(-1, 2)), seg(*far, 3), seg(pt(0, 0), pt(1, 0))], 2)):
+        ch = build(items)
+        assert {rad for s in ch.terms for rad in s.volume().terms} == {1, 2, 20402}
+        expect = per_term_mass(ch)
+        got = ch.mass_exact()
+        assert set(got.terms) == {key, 1}
+        assert list(got.terms.items()) == list(expect.terms.items())
 
 
 def test_as_real_keeps_the_simplices_and_the_complex():

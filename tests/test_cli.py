@@ -6,6 +6,7 @@ import re
 import sys
 from fractions import Fraction
 
+from polychain import flatnorm
 from polychain.chainfile import load_chain, save_chain
 from polychain.chains import PolyChain
 from polychain.cli import main
@@ -67,6 +68,26 @@ def test_flatnorm_exact_route_and_witness_files(tmp_path, capsys):
     filling = load_chain(prefix + ".filling.json")
     assert residual.is_zero()
     assert filling.mass_exact().as_rational() == 1
+
+
+def test_flatnorm_exact_refuses_a_program_past_the_row_limit(tmp_path, capsys, monkeypatch):
+    # d=2 n=9 k=1: 261 edges, past MAX_EXACT_LP_ROWS = 256
+    src = tmp_path / "chain.json"
+    run(capsys, "gen", "chain", "--grid", "2,9", "--dim", "1",
+        "--seed", "1", "--out", str(src))
+    assembled = []
+    flat_program = flatnorm._flat_program
+    monkeypatch.setattr(flatnorm, "_flat_program",
+                        lambda chain: assembled.append(chain) or flat_program(chain))
+    code, out, err = run(capsys, "flatnorm", str(src), "--exact")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [chainfile]:") and "MAX_EXACT_LP_ROWS" in err
+    assert "261" in err
+    assert assembled == []
+    # the float route alone has no such limit
+    code, out, _ = run(capsys, "flatnorm", str(src))
+    assert code == 0 and "witness_replay_exact = PASS" in out
 
 
 def test_project_then_lift_round_trip(tmp_path, capsys):

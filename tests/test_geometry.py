@@ -179,6 +179,29 @@ def test_affine_maps_compose_pointwise():
     assert ident(pt(F(2, 7), F(3, 5))) == pt(F(2, 7), F(3, 5))
 
 
+def test_scalar_maps_agree_with_the_matrix_product():
+    def by_matrix(f, p):
+        return tuple(sum(a * x for a, x in zip(row, p)) + s
+                     for row, s in zip(f.matrix, f.shift))
+
+    rng = Random(4)
+    shear = AffineMap([[1, F(1, 3)], [0, 2]], pt(F(1, 5), -1))
+    assert shear.scale is None
+    for _ in range(20):
+        c = pt(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), 7))
+        r = F(rng.randint(1, 9), rng.randint(1, 9))
+        maps = [AffineMap.identity(2), AffineMap.translation(c),
+                AffineMap.homothety(c, r), AffineMap([[r, 0], [0, r]], c), shear]
+        assert [f.scale for f in maps] == [1, 1, r, r, None]
+        p = pt(F(rng.randint(-9, 9), 4), F(rng.randint(-9, 9), 3))
+        for f in maps:
+            assert f(p) == by_matrix(f, p)
+            for h in maps:
+                composed = f.compose(h)
+                assert composed(p) == f(h(p))
+                assert (composed.scale is None) == (f.scale is None or h.scale is None)
+
+
 def test_simplex_rejects_bad_input():
     with pytest.raises(GeometryError):
         Simplex((pt(0, 0), pt(0, 0, 0)))

@@ -68,7 +68,7 @@ def test_two_cell_profile_matches_hand_computation():
     assert (masses[0] - diag).is_zero()
     assert masses[1].as_rational() == F(6, 5)
     assert (masses[2] - diag).is_zero()
-    theta, best = profile.minimum()
+    theta, best = profile.minimum
     assert theta == F(1, 2)
     assert best.as_rational() == F(6, 5)
     # (2+sqrt(2))/20 + (6/5)(2/5) + (2+sqrt(2))/20
@@ -82,7 +82,7 @@ def test_profile_tie_prefers_the_smaller_threshold():
     ch = cx.cube_chain(CIRCLE, (0, 0), F(1, 2))
     profile = threshold_profile(ch)
     assert profile.breakpoints == (F(1, 2),)
-    theta, _ = profile.minimum()
+    theta, _ = profile.minimum
     assert theta == F(3, 8)  # both intervals tie at mass 1
 
 
