@@ -51,9 +51,10 @@ class InputLimitError(ValueError):
 # a short string such as "1e200000" cannot request a huge integer.
 MAX_RATIONAL_DIGITS = 1000
 
-# Largest grid a chain file or `gen --grid` may request, in top simplices
-# (n^d * d!).  The complex is built eagerly, in time and memory about
-# proportional to this: d=3 n=12 (10368 top simplices) takes about 4 s.
+# Largest grid a chain file, a grid-function file or `gen --grid` may
+# request, in top simplices (n^d * d!).  The complex is built eagerly, in
+# time and memory about proportional to this: d=3 n=12 (10368 top
+# simplices) takes about 4 s.
 MAX_GRID_SIMPLICES = 20000
 
 # Largest flat-norm program the exact route (flat_norm_oracle, `flatnorm
@@ -243,6 +244,7 @@ def parse_grid_function(text: str) -> GridFunction:
     except ValueError:
         raise ChainFileError("grid function header must be two integers, got %r %r"
                              % (tokens[0], tokens[1])) from None
+    check_grid_size(d, n, "grid function")
     values = [parse_rational(t, "grid value %d" % i)
               for i, t in enumerate(tokens[2:])]
     if d < 1 or n < 1:

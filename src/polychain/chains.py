@@ -86,11 +86,18 @@ class PolyChain:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _simplex_key(self):
+        # a complex's ids follow its vertex-sorted simplex lists
+        if self.complex is not None:
+            return self.complex.id_key(self.dim)
+        return lambda s: s.vertices
+
     def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].vertices)
+        key = self._simplex_key()
+        return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
 
     def support(self):
-        return sorted(self.terms, key=lambda s: s.vertices)
+        return sorted(self.terms, key=self._simplex_key())
 
     def __len__(self):
         return len(self.terms)
@@ -235,7 +242,7 @@ class PolyChain:
                     raise ChainError("integer ids need a complex-backed chain")
                 keep_set.add(self.complex.simplex(self.dim, item))
             else:
-                keep_set.add(Simplex(item))
+                keep_set.add(Simplex(canonical(item)[0]))
         terms = {s: c for s, c in self.terms.items() if s in keep_set}
         return PolyChain(self.group, self.ambient_dim, self.dim, terms, self.complex)
 

@@ -17,6 +17,7 @@ no library routine checks are evaluated in this module.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from fractions import Fraction
 
@@ -290,16 +291,12 @@ def _cmd_decompose_levels(args) -> Report:
     rep.bound("gap_zero", result.gap == 0)
     rep.bound("chain_identity", result.chain_identity)
     if args.out:
-        import json
-
-        from .coarea import level_slices
         doc = {"slices": [{"t_low": str(sl.t_low),
                            "t_high": str(sl.t_high),
                            "chain": chain_to_document(sl.chain)}
-                          for sl in level_slices(u)]}
+                          for sl in result.slices]}
         with open(args.out, "w") as fp:
-            json.dump(doc, fp, indent=2, sort_keys=True)
-            fp.write("\n")
+            fp.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         rep.add("out", args.out)
     return rep
 

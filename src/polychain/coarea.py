@@ -13,6 +13,11 @@ The mass identity has zero gap because each face's indicator jump has
 constant sign along the threshold axis, so no cancellation is possible.
 Super-level sets are used above zero and complements below zero, keeping
 every slice region finite despite the infinite zero frame.
+
+`verify_coarea` builds the slices once and returns them with its check, so
+`decompose-levels --out` writes the very chains it verified.  Region and
+slice chains are built from cell ids (`GridComplex.chain_from_ids`), not
+from vertex tuples.
 """
 
 from __future__ import annotations
@@ -61,18 +66,12 @@ class GridFunction:
         """The function as a top-dimensional chain: each cell contributes
         its value on the cell's positively oriented simplices."""
         complex = self.complex
-        d = self.ambient_dim
-        items = []
-        for cube in complex.cubes():
-            v = self.value(cube)
-            if not v:
-                continue
-            g = group.normalize(v)
-            for i in complex.tops_of_cube(cube):
-                s = complex.simplex(d, i)
-                items.append((s.vertices,
-                              g if complex.top_orientation(i) > 0 else group.neg(g)))
-        return PolyChain.build(group, d, d, items, complex=complex)
+        pairs = []
+        # cubes() enumerates the cells in the row-major order of values
+        for cube, v in zip(complex.cubes(), self.values):
+            if v:
+                pairs += complex.top_pairs(group, complex.tops_of_cube(cube), v)
+        return complex.chain_from_ids(group, self.ambient_dim, pairs)
 
     def indicator(self, predicate) -> "GridFunction":
         return GridFunction(self.ambient_dim, self.resolution,
@@ -126,8 +125,12 @@ class CoareaReport:
     boundary_mass: Fraction
     slice_mass: Fraction
     gap: Fraction
-    slice_count: int
     chain_identity: bool
+    slices: list  # the LevelSlices the check was made on
+
+    @property
+    def slice_count(self) -> int:
+        return len(self.slices)
 
 
 def verify_coarea(u: GridFunction) -> CoareaReport:
@@ -135,7 +138,8 @@ def verify_coarea(u: GridFunction) -> CoareaReport:
 
     Both masses are rational (every slice face lies on a cell facet), the
     gap is exactly zero, and the weighted slice sum reproduces the jump
-    chain term by term."""
+    chain term by term.  The slices checked are returned on the report, so
+    a caller that writes them out does not slice u again."""
     boundary = function_boundary(u)
     slices = level_slices(u)
     lhs = boundary.mass_exact().as_rational()
@@ -146,4 +150,4 @@ def verify_coarea(u: GridFunction) -> CoareaReport:
         combined = combined + sl.chain.as_real().scale(sl.width)
     identity = combined == boundary
     return CoareaReport(boundary_mass=lhs, slice_mass=rhs, gap=lhs - rhs,
-                        slice_count=len(slices), chain_identity=identity)
+                        chain_identity=identity, slices=slices)

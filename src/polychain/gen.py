@@ -46,8 +46,7 @@ def random_chain(seed, d: int, n: int, k: int, group=REAL, terms: int = 6) -> Po
     complex = grid_complex(d, n)
     total = complex.count(k)
     ids = rng.sample(range(total), min(terms, total))
-    items = [(complex.simplex(k, i).vertices, random_coeff(rng, group)) for i in ids]
-    return PolyChain.build(group, d, k, items, complex=complex)
+    return complex.chain_from_ids(group, k, [(i, random_coeff(rng, group)) for i in ids])
 
 
 def random_cycle(seed, d: int, n: int, k: int, group=REAL, terms: int = 4) -> PolyChain:
@@ -85,16 +84,13 @@ def random_circle_top(seed, d: int, n: int, density: float = 0.7) -> PolyChain:
     coefficient per cell."""
     rng = _rng(seed)
     complex = grid_complex(d, n)
-    items = []
+    pairs = []
     for cube in complex.cubes():
         if rng.random() >= density:
             continue
-        g = random_coeff(rng, CIRCLE)
-        for i in complex.tops_of_cube(cube):
-            s = complex.simplex(d, i)
-            c = g if complex.top_orientation(i) > 0 else CIRCLE.neg(g)
-            items.append((s.vertices, c))
-    chain = PolyChain.build(CIRCLE, d, d, items, complex=complex)
+        pairs += complex.top_pairs(CIRCLE, complex.tops_of_cube(cube),
+                                   random_coeff(rng, CIRCLE))
+    chain = complex.chain_from_ids(CIRCLE, d, pairs)
     if chain.is_zero():
         return random_circle_top(rng, d, n, density)
     return chain

@@ -7,9 +7,15 @@ exactly the monotone vertex chains of the cell lattices, and refining the
 grid by any integer ratio refines every simplex of the coarse grid.
 
 All coordinates are Fractions; ids are positions in the vertex-sorted
-simplex lists, so two complexes with equal parameters enumerate identically.
-Each simplex of a complex is one stored object (`intern` returns it), so
-its hash and volume are computed once however many chains use it.
+simplex lists, so two complexes with equal parameters enumerate identically,
+and sorting a complex's simplices by id orders them as their vertex tuples
+do (`id_key`; complex-backed chains sort their terms this way).  Each
+simplex of a complex is one stored object (`intern` returns it), so its
+hash and volume are computed once however many chains use it.  Chains made
+here are built from cell ids (`chain_from_ids`): (id, coeff) pairs become
+terms keyed by the stored simplices, with no vertex tuple sorted, no new
+Simplex and no `intern` lookup; `PolyChain.build` stays the constructor for
+chains given by vertex tuples (files, free chains).
 """
 
 from __future__ import annotations
@@ -109,6 +115,11 @@ class GridComplex:
         except KeyError:
             raise GridError("simplex not on this complex: %r" % (s,))
 
+    def id_key(self, k: int):
+        """Sort key giving a stored k-simplex its id, which orders simplices
+        as their sorted vertex tuples do without comparing Fractions."""
+        return self._index[k].__getitem__
+
     def intern(self, k: int, s: Simplex) -> Simplex:
         """The complex's own k-simplex object equal to s."""
         return self._simplices[k][self.index_of(k, s)]
@@ -122,9 +133,6 @@ class GridComplex:
 
     def tops_of_cube(self, cube) -> tuple:
         return self._cube_tops[tuple(cube)]
-
-    def top_orientation(self, i: int) -> int:
-        return self._top_orient[i]
 
     # -- incidence -------------------------------------------------------------
 
@@ -171,27 +179,45 @@ class GridComplex:
             vec[self._index[chain.dim][s]] = c
         return vec
 
+    def chain_from_ids(self, group, k: int, pairs) -> "_chains.PolyChain":
+        """The k-chain sum of coeff * (stored k-simplex id) over (id, coeff)
+        pairs, each coeff relative to the stored orientation.
+
+        Repeated ids add up through the group and zeros are dropped, in the
+        order `PolyChain.build` would give on the same cells; the terms are
+        the stored simplices, so no vertex tuple is sorted or hashed."""
+        by_id: dict[int, Fraction] = {}
+        for i, coeff in pairs:
+            g = group.normalize(coeff)
+            if i in by_id:
+                g = group.add(by_id[i], g)
+            if g:
+                by_id[i] = g
+            else:
+                by_id.pop(i, None)
+        stored = self._simplices[k]
+        return _chains.PolyChain(group, self.ambient_dim, k,
+                                 {stored[i]: g for i, g in by_id.items()}, self)
+
     def chain_from_vector(self, group, k: int, vec) -> "_chains.PolyChain":
-        items = [(self._simplices[k][i].vertices, c) for i, c in enumerate(vec) if c]
-        return _chains.PolyChain.build(group, self.ambient_dim, k, items, complex=self)
+        return self.chain_from_ids(group, k, ((i, c) for i, c in enumerate(vec) if c))
+
+    def top_pairs(self, group, ids, coeff) -> list:
+        """(id, coeff) pairs giving the top simplices `ids` the coefficient
+        coeff on their positive orientation."""
+        g = group.normalize(coeff)
+        neg = group.neg(g)
+        return [(i, g if self._top_orient[i] > 0 else neg) for i in ids]
 
     def full_chain(self, group, coeff=1) -> "_chains.PolyChain":
         """Positively oriented sum of all top cells."""
         d = self.ambient_dim
-        g = group.normalize(coeff)
-        items = [(s.vertices, g if self._top_orient[i] > 0 else group.neg(g))
-                 for i, s in enumerate(self._simplices[d])]
-        return _chains.PolyChain.build(group, d, d, items, complex=self)
+        return self.chain_from_ids(group, d, self.top_pairs(group, range(self.count(d)), coeff))
 
     def cube_chain(self, group, cube, coeff=1) -> "_chains.PolyChain":
         """Positively oriented cell indicator: the d! tops of one cube."""
-        d = self.ambient_dim
-        g = group.normalize(coeff)
-        items = []
-        for i in self._cube_tops[tuple(cube)]:
-            s = self._simplices[d][i]
-            items.append((s.vertices, g if self._top_orient[i] > 0 else group.neg(g)))
-        return _chains.PolyChain.build(group, d, d, items, complex=self)
+        return self.chain_from_ids(group, self.ambient_dim,
+                                   self.top_pairs(group, self._cube_tops[tuple(cube)], coeff))
 
     # -- geometry ------------------------------------------------------------------
 
@@ -245,20 +271,13 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
     if chain.ambient_dim != target.ambient_dim:
         raise GridError("ambient dimension mismatch")
     k = chain.dim
-    if chain.complex is not None and chain.complex.same_as(target):
-        return _chains.PolyChain(chain.group, chain.ambient_dim, k,
-                                 {target.intern(k, s): c for s, c in chain.terms.items()},
-                                 target)
     group = chain.group
-    if k == 0:
-        items = []
-        for s, c in chain.terms.items():
-            target.index_of(0, s)  # raises if off-lattice
-            items.append((s.vertices, c))
-        return _chains.PolyChain.build(group, chain.ambient_dim, 0, items, complex=target)
-
+    if k == 0 or chain.complex is not None and chain.complex.same_as(target):
+        # index_of raises for a term off the target lattice
+        return target.chain_from_ids(group, k, [(target.index_of(k, s), c)
+                                                for s, c in chain.terms.items()])
     fine = target.simplices(k)
-    items = []
+    pairs = []
     for sigma, coeff in chain.terms.items():
         if sigma.is_degenerate():
             raise GridError("cannot re-express a zero-volume term")
@@ -268,7 +287,7 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
         # rows of the (d x k) system expressing a vector in sigma's edge basis
         basis_rows = [[base[j][i] for j in range(k)] for i in range(chain.ambient_dim)]
         covered = RadicalSum()
-        for t in fine:
+        for i, t in enumerate(fine):
             tlo, thi = t.bbox()
             if any(a < b for a, b in zip(tlo, lo)) or any(a > b for a, b in zip(thi, hi)):
                 continue
@@ -284,8 +303,8 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
             if rel == 0:
                 raise GridError("degenerate tile")
             c = coeff if rel > 0 else group.neg(coeff)
-            items.append((t.vertices, c))
+            pairs.append((i, c))
             covered = covered + t.volume()
         if not (covered - sigma.volume()).is_zero():
             raise GridError("term is not exactly tiled by the target grid")
-    return _chains.PolyChain.build(group, chain.ambient_dim, k, items, complex=target)
+    return target.chain_from_ids(group, k, pairs)

@@ -19,6 +19,11 @@ class GroupError(ValueError):
     pass
 
 
+def _fraction(value) -> Fraction:
+    # a Fraction is immutable, so it is returned as it is, not copied
+    return value if isinstance(value, Fraction) else Fraction(value)
+
+
 class Group:
     """Base class; concrete groups are stateless singletons (except ModP)."""
 
@@ -57,13 +62,13 @@ class RealGroup(Group):
     tag = "real"
 
     def normalize(self, value) -> Fraction:
-        return Fraction(value)
+        return _fraction(value)
 
     def norm(self, value) -> Fraction:
-        return abs(Fraction(value))
+        return abs(_fraction(value))
 
     def scale(self, a, s) -> Fraction:
-        return Fraction(a) * Fraction(s)
+        return _fraction(a) * _fraction(s)
 
 
 class IntegerGroup(Group):
@@ -71,7 +76,7 @@ class IntegerGroup(Group):
     discrete = True
 
     def normalize(self, value) -> Fraction:
-        v = Fraction(value)
+        v = _fraction(value)
         if v.denominator != 1:
             raise GroupError("integer coefficient expected, got %s" % v)
         return v
@@ -90,9 +95,11 @@ class ModPGroup(Group):
         self.tag = "mod:%d" % p
 
     def normalize(self, value) -> Fraction:
-        v = Fraction(value)
+        v = _fraction(value)
         if v.denominator != 1:
             raise GroupError("mod-%d coefficient expected integral, got %s" % (self.p, v))
+        if 0 <= v.numerator < self.p:
+            return v
         return Fraction(v.numerator % self.p)
 
     def norm(self, value) -> Fraction:
@@ -104,7 +111,9 @@ class CircleGroup(Group):
     tag = "circle"
 
     def normalize(self, value) -> Fraction:
-        v = Fraction(value)
+        v = _fraction(value)
+        if 0 <= v.numerator < v.denominator:
+            return v
         return v - (v.numerator // v.denominator)  # v mod 1, in [0,1)
 
     def norm(self, value) -> Fraction:

@@ -198,6 +198,18 @@ def test_mass_measure_restriction():
     assert (restricted.mass_exact() - mm.restrict(some)).is_zero()
 
 
+def test_restrict_accepts_carriers_in_either_vertex_order():
+    a, b = pt(0, 0), pt(1, 0)
+    free = build([seg(a, b, F(1, 2)), seg(b, pt(1, 1))])
+    on_grid = grid_complex(2, 1).full_chain(REAL).boundary()
+    for ch in (free, on_grid):
+        edge = [c for s, c in ch.terms.items() if s.vertices == (a, b)]
+        for carrier in ((a, b), (b, a)):
+            kept = ch.restrict([carrier])
+            assert [s.vertices for s in kept.terms] == [(a, b)]
+            assert list(kept.terms.values()) == edge
+
+
 def per_term_mass(chain):
     # reference: one RadicalSum addition per term, in term order
     total = RadicalSum()

@@ -6,12 +6,14 @@ import re
 import sys
 from fractions import Fraction
 
-from polychain import flatnorm
-from polychain.chainfile import load_chain, save_chain
+from polychain import chainfile, coarea, flatnorm
+from polychain.chainfile import (chain_to_document, load_chain, save_chain,
+                                 save_grid_function)
 from polychain.chains import PolyChain
 from polychain.cli import main
-from polychain.gen import random_circle_top, random_integral_boundary_chain
-from polychain.grid import GridComplex, grid_complex
+from polychain.gen import (random_circle_top, random_grid_function,
+                           random_integral_boundary_chain)
+from polychain.grid import GridComplex, GridError, grid_complex
 from polychain.groups import REAL
 
 F = Fraction
@@ -356,3 +358,48 @@ def test_decompose_levels_command(tmp_path, capsys):
     assert isinstance(doc["slices"], list) and doc["slices"]
     first = doc["slices"][0]
     assert set(first) == {"t_low", "t_high", "chain"}
+
+
+def test_decompose_levels_writes_the_slices_it_verified(tmp_path, capsys, monkeypatch):
+    u = random_grid_function(5, 2, 4)
+    u_path = tmp_path / "u.grid"
+    save_grid_function(u, str(u_path))
+    calls = []
+    level_slices = coarea.level_slices
+
+    def counted(v):
+        calls.append(v)
+        return level_slices(v)
+    monkeypatch.setattr(coarea, "level_slices", counted)
+    out_path = tmp_path / "slices.json"
+    code, out, _ = run(capsys, "decompose-levels", str(u_path), "--out", str(out_path))
+    assert code == 0 and "chain_identity = PASS" in out
+    assert len(calls) == 1
+    slices = level_slices(u)
+    assert len(slices) > 1
+    doc = {"slices": [{"t_low": str(sl.t_low), "t_high": str(sl.t_high),
+                       "chain": chain_to_document(sl.chain)} for sl in slices]}
+    assert out_path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_oversized_grid_function_is_refused_before_its_values_are_read(tmp_path, capsys,
+                                                                        monkeypatch):
+    path = tmp_path / "big.grid"
+    path.write_text("3 15\n" + " ".join(["1"] * 15 ** 3) + "\n")
+    parsed, built = [], []
+    parse = chainfile.parse_rational
+
+    def counted_parse(*args):
+        parsed.append(args)
+        return parse(*args)
+
+    def refuse_build(self, *args, **kwargs):
+        built.append(args)
+        raise GridError("grid built")
+    monkeypatch.setattr(chainfile, "parse_rational", counted_parse)
+    monkeypatch.setattr(GridComplex, "__init__", refuse_build)
+    code, out, err = run(capsys, "decompose-levels", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [chainfile]:") and "MAX_GRID_SIMPLICES" in err
+    assert parsed == [] and built == []

@@ -7,10 +7,10 @@ import pytest
 from polychain import geometry, grid
 from polychain.approx import shrink_toward
 from polychain.chains import PolyChain
-from polychain.gen import random_chain
+from polychain.gen import random_chain, random_grid_function
 from polychain.geometry import Simplex
 from polychain.grid import GridError, embed_on, grid_complex
-from polychain.groups import INTEGER, REAL
+from polychain.groups import CIRCLE, INTEGER, REAL, modp
 
 F = Fraction
 
@@ -270,3 +270,62 @@ def test_embed_on_matches_brute_force_reference():
         got = embed_on(fine, chain)
         assert got == _brute_force_embed(fine, chain)
         assert all(s is _stored(fine, chain.dim, s) for s in got.terms)
+
+
+def _built_on(cx, group, k, pairs):
+    """The same cells through vertex tuples: PolyChain.build on the complex."""
+    return PolyChain.build(group, cx.ambient_dim, k,
+                           [(cx.simplex(k, i).vertices, c) for i, c in pairs], complex=cx)
+
+
+def test_chain_from_ids_equals_build_on_the_same_cells():
+    cx = grid_complex(2, 2)
+    cases = [
+        # id 5 cancels; id 3 cancels, then comes back at the end
+        (REAL, [(3, F(1, 2)), (7, F(-2, 3)), (3, F(-1, 2)), (5, 1), (5, -1), (3, 2)], {5}),
+        (INTEGER, [(0, 2), (4, -3), (0, -2), (6, 1), (4, 1)], {0}),
+        # 3/4 + 1/4 and 1 wrap to 0; 5/3 and -1/2 wrap into [0, 1)
+        (CIRCLE, [(1, F(3, 4)), (1, F(1, 4)), (2, F(5, 3)), (6, 1), (7, F(-1, 2))], {1, 6}),
+        # 1 + 2 and 5 + 1 are 0 mod 3
+        (modp(3), [(2, 1), (2, 2), (4, 5), (7, -1), (4, 1)], {2, 4}),
+    ]
+    for group, pairs, dropped in cases:
+        for k in (1, 2):
+            got = cx.chain_from_ids(group, k, pairs)
+            want = _built_on(cx, group, k, pairs)
+            assert list(got.terms.items()) == list(want.terms.items())
+            assert got.group == group and got.dim == k and got.complex is cx
+            assert all(s is _stored(cx, k, s) for s in got.terms)
+            assert {cx.index_of(k, s) for s in got.terms} == {i for i, _ in pairs} - dropped
+
+
+def test_warm_id_constructors_build_no_simplex(monkeypatch):
+    u = random_grid_function(4, 2, 3)
+    cx = u.complex
+    top = u.to_chain()
+    vec = cx.chain_vector(top)
+    calls = []
+    init = Simplex.__init__
+
+    def counting_init(self, vertices):
+        calls.append(vertices)
+        init(self, vertices)
+
+    monkeypatch.setattr(Simplex, "__init__", counting_init)
+    assert u.to_chain() == top and not top.is_zero()
+    assert cx.chain_from_vector(REAL, 2, vec) == top
+    assert calls == []
+    # the counter sees build, which makes one Simplex per term
+    PolyChain.build(REAL, 2, 2, [(s.vertices, c) for s, c in top.terms.items()], complex=cx)
+    assert len(calls) == len(top)
+
+
+def test_complex_chains_sort_by_id_as_by_vertices():
+    for d, n in ((1, 3), (2, 3), (3, 2)):
+        cx = grid_complex(d, n)
+        for k in range(d + 1):
+            # every cell, inserted in reverse id order
+            ch = cx.chain_from_ids(REAL, k, [(i, i + 1) for i in reversed(range(cx.count(k)))])
+            by_vertices = sorted(ch.terms.items(), key=lambda kv: kv[0].vertices)
+            assert ch.items_sorted() == by_vertices
+            assert ch.support() == [s for s, _ in by_vertices]
