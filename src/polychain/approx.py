@@ -62,7 +62,6 @@ class StageReport:
     stages: list = field(default_factory=list)
     epsilon_terminal: RadicalSum = field(default_factory=RadicalSum)
     identity_checked: bool = False
-    terminal_remainder: PolyChain | None = None
 
     @property
     def stage_count(self) -> int:
@@ -229,11 +228,9 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
     report = StageReport()
     if chain.is_zero():
         report.identity_checked = True
-        report.terminal_remainder = chain
         return chain, report
 
     center = _box_center(chain.complex)
-    side = chain.complex.side
     diameter = float(chain.complex.diameter())
     carriers = [s for s in chain.terms if not s.is_degenerate()]
     identity = AffineMap.identity(d)
@@ -251,7 +248,7 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
         if k >= 1 and not bx.is_zero():
             # transport mass is linear in the shrink gap; presize the gap
             # from a float overestimate so the exact check passes first try
-            per_unit = float(bx.mass_exact()) * k * (diameter / 2 + float(side) / 4)
+            per_unit = float(bx.mass_exact()) * k * (diameter / 2 + 1 / 4)
             target = float(stage_budget) / (4 * per_unit)
             while one_minus > target and one_minus > Fraction(1, 2 ** 60):
                 one_minus /= 2
@@ -261,7 +258,7 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
             f = AffineMap.homothety(center, lam)
             y = pushforward(x, f)
             piece, direction, shift = _singular_translate(
-                y, carriers, one_minus * side / 4)
+                y, carriers, one_minus / 4)
             g = f if direction is None else \
                 AffineMap.translation(tuple(shift * c for c in direction)).compose(f)
             if k >= 1:
@@ -292,7 +289,6 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
     if k >= 1 and r.boundary() != chain.boundary():
         raise ApproxError("boundary of the representative failed to replay")
     report.epsilon_terminal = x.mass_exact()
-    report.terminal_remainder = x
     report.identity_checked = True
     return r, report
 
@@ -372,7 +368,7 @@ def measured_shrink_distance(chain: PolyChain, ratio=Fraction(1, 2)):
     center = _box_center(complex)
     image, bound = shrink_toward(chain, center, ratio)
     fine_res = 2 * ratio.denominator * complex.resolution
-    fine = grid_complex(complex.ambient_dim, fine_res, complex.origin, complex.side)
+    fine = grid_complex(complex.ambient_dim, fine_res)
     a = embed_on(fine, chain)
     b = embed_on(fine, image)
     witness = flat_norm(a - b)

@@ -14,6 +14,11 @@ never floats, so a round trip is bit-exact:
       ]
     }
 
+Slice files (`decompose-levels --out`) are JSON documents
+{"slices": [{"t_low": "p/q", "t_high": "p/q", "chain": <chain document>}, ...]}.
+Both JSON layouts are written by one encoder call (`_emit`): two-space
+indent, sorted keys, a final newline.
+
 Grid-function files are plain text: a header line "d n" followed by n^d
 rationals in row-major order (the function is zero outside the unit box).
 
@@ -126,10 +131,7 @@ def chain_to_document(chain: PolyChain) -> dict:
         "simplices": [],
     }
     if chain.complex is not None:
-        cx = chain.complex
-        if cx.origin != (Fraction(0),) * cx.ambient_dim or cx.side != 1:
-            raise ChainFileError("only unit-box grid complexes are serializable")
-        doc["complex"] = {"type": "kuhn", "n": cx.resolution}
+        doc["complex"] = {"type": "kuhn", "n": chain.complex.resolution}
     integral = chain.group.tag != "real" and chain.group.tag != "circle"
     for simplex, coeff in chain.items_sorted():
         doc["simplices"].append({
@@ -196,8 +198,12 @@ def document_to_chain(doc) -> PolyChain:
     return PolyChain.build(group, ambient, dim, items, complex=complex)
 
 
+def _emit(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def emit_chain(chain: PolyChain) -> str:
-    return json.dumps(chain_to_document(chain), indent=2, sort_keys=True) + "\n"
+    return _emit(chain_to_document(chain))
 
 
 def parse_chain(text: str) -> PolyChain:
@@ -221,6 +227,14 @@ def save_chain(chain: PolyChain, path: str):
 def load_chain(path: str) -> PolyChain:
     with open(path) as fp:
         return parse_chain(fp.read())
+
+
+def save_slices(slices, path: str):
+    """Write coarea level slices (t_low, t_high, chain) as a slice file."""
+    doc = {"slices": [{"t_low": str(sl.t_low), "t_high": str(sl.t_high),
+                       "chain": chain_to_document(sl.chain)} for sl in slices]}
+    with open(path, "w") as fp:
+        fp.write(_emit(doc))
 
 
 # -- grid-function files -----------------------------------------------------

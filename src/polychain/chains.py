@@ -121,7 +121,7 @@ class PolyChain:
         if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
             raise ChainError("chain dimensions differ")
         if self.complex is not None and other.complex is not None \
-                and not self.complex.same_as(other.complex):
+                and self.complex.resolution != other.complex.resolution:
             raise ChainError("chains live on different complexes")
 
     def _merged_complex(self, other: "PolyChain"):

@@ -8,6 +8,15 @@ input exceeded a named size limit, exact arithmetic or memory ran out, or
 the command line itself was malformed).  Every randomized command takes a
 --seed and is fully deterministic given it.
 
+Each command is one handler, `_cmd_<name>(args, loaded, rep)`, that adds
+its lines to the report `rep` and returns the chain `--out` should hold,
+or None.  `main` does the rest: it loads the input (a grid function for
+`decompose-levels`, nothing for `gen`, a chain otherwise), writes a
+returned chain to `--out`, maps the exceptions of `_ERRORS` to an exit
+code and an `error [module]` line, and prints the report.  `flatnorm`,
+`decompose-levels` and `gen function` write their other outputs
+themselves (witness, slice and grid-function files).
+
 A bound that the library routine on a command's path already checks, and
 raises on if it fails, is recorded as checked (`rep.bound(name, True)`,
 with a comment naming the routine), not recomputed here; only the bounds
@@ -17,16 +26,16 @@ no library routine checks are evaluated in this module.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from fractions import Fraction
 
 from .approx import (ApproxBudget, ApproxError, cycle_extension,
                      disjoint_representative)
-from .chainfile import (ChainFileError, InputLimitError, emit_chain,
-                        load_chain, load_grid_function, chain_to_document,
-                        check_grid_size, group_from_tag, parse_chain,
-                        parse_rational, save_chain, save_grid_function)
+from .chainfile import (ChainFileError, InputLimitError, check_grid_size,
+                        emit_chain, group_from_tag, load_chain,
+                        load_grid_function, parse_chain, parse_rational,
+                        save_chain, save_grid_function, save_slices)
 from .chains import ChainError
 from .coarea import verify_coarea
 from .flatnorm import CertificateError, flat_norm, flat_norm_oracle
@@ -34,32 +43,32 @@ from .gen import (GenError, random_chain, random_circle_top, random_cycle,
                   random_grid_function, random_integral_boundary_chain)
 from .geometry import GeometryError
 from .grid import GridError
-from .groups import CIRCLE, GroupError, REAL
+from .groups import CIRCLE, GroupError
 from .lifting import (LiftError, br_correct, lift_flat, lift_top_optimal,
                       lift_top_threshold, loop_cancel, project_chain)
 from .report import Report
 from .simplex_lp import LPError
 
-_MODULE_OF = (
-    (ChainFileError, "cli"),
-    (InputLimitError, "chainfile"),
-    (GenError, "gen"),
-    (GroupError, "groups"),
-    (GeometryError, "geometry"),
-    (GridError, "grid"),
-    (ChainError, "chains"),
-    (LPError, "flatnorm"),
-    (CertificateError, "flatnorm"),
-    (ApproxError, "approx"),
-    (LiftError, "lifting"),
+# (exception class, exit code, module tag) in matching order: the first
+# entry an exception is an instance of decides; anything else propagates
+_ERRORS = (
+    (ChainFileError, 1, "cli"),
+    (OSError, 1, "cli"),
+    (InputLimitError, 2, "chainfile"),
+    (GenError, 2, "gen"),
+    (GroupError, 2, "groups"),
+    (GeometryError, 2, "geometry"),
+    (GridError, 2, "grid"),
+    (ChainError, 2, "chains"),
+    (LPError, 2, "flatnorm"),
+    (CertificateError, 2, "flatnorm"),
+    (ApproxError, 2, "approx"),
+    (LiftError, 2, "lifting"),
+    (ValueError, 2, "core"),
+    (ArithmeticError, 2, "core"),
+    (MemoryError, 2, "core"),
 )
-
-
-def _module_of(exc) -> str:
-    for klass, name in _MODULE_OF:
-        if isinstance(exc, klass):
-            return name
-    return "core"
+_CAUGHT = tuple(klass for klass, _, _ in _ERRORS)
 
 
 def _parse_grid(text: str):
@@ -90,9 +99,7 @@ def _chain_summary(rep: Report, prefix: str, chain):
 # -- command handlers ---------------------------------------------------------
 
 
-def _cmd_mass(args) -> Report:
-    chain = load_chain(args.file)
-    rep = Report()
+def _cmd_mass(args, chain, rep):
     rep.add("ambient_dim", chain.ambient_dim)
     rep.add("dim", chain.dim)
     rep.add("group", chain.group.tag)
@@ -100,30 +107,22 @@ def _cmd_mass(args) -> Report:
     mass = chain.mass_exact()
     rep.add("mass_exact", mass)
     rep.add("mass", float(mass))
-    return rep
 
 
-def _cmd_boundary(args) -> Report:
-    chain = load_chain(args.file)
+def _cmd_boundary(args, chain, rep):
     out = chain.boundary()
-    rep = Report()
     _chain_summary(rep, "input", chain)
     _chain_summary(rep, "boundary", out)
     rep.bound("boundary_of_boundary_zero",
               out.dim == 0 or out.boundary().is_zero())
-    if args.out:
-        save_chain(out, args.out)
-        rep.add("out", args.out)
-    return rep
+    return out
 
 
-def _cmd_flatnorm(args) -> Report:
-    chain = load_chain(args.file)
+def _cmd_flatnorm(args, chain, rep):
     # the exact route runs first so that its size limit refuses the input
     # before the float route does any work
     oracle = flat_norm_oracle(chain) if args.exact else None
     witness = flat_norm(chain)
-    rep = Report()
     _chain_summary(rep, "input", chain)
     rep.add("value", witness.value)
     rep.add("residual_mass", witness.residual.mass())
@@ -140,34 +139,26 @@ def _cmd_flatnorm(args) -> Report:
         save_chain(witness.filling, args.out + ".filling.json")
         rep.add("out_residual", args.out + ".residual.json")
         rep.add("out_filling", args.out + ".filling.json")
-    return rep
 
 
-def _cmd_project(args) -> Report:
-    chain = load_chain(args.file)
+def _cmd_project(args, chain, rep):
     out = project_chain(chain)
-    rep = Report()
     in_mass = _chain_summary(rep, "input", chain)
     out_mass = _chain_summary(rep, "projected", out)
     rep.bound("mass_nonincreasing", (out_mass - in_mass).sign() <= 0)
     if chain.dim > 0:
         rep.bound("boundary_commutes",
                   project_chain(chain.boundary()) == out.boundary())
-    if args.out:
-        save_chain(out, args.out)
-        rep.add("out", args.out)
-    return rep
+    return out
 
 
-def _cmd_lift(args) -> Report:
-    chain = load_chain(args.file)
+def _cmd_lift(args, chain, rep):
     if args.k is not None and chain.dim != args.k:
         raise LiftError("lift: --k %d but the chain has dimension %d"
                         % (args.k, chain.dim))
     if chain.group is not CIRCLE:
         raise LiftError("lift: input must have circle coefficients, got %s"
                         % chain.group.tag)
-    rep = Report()
     in_mass = _chain_summary(rep, "input", chain)
     if chain.dim == chain.ambient_dim:
         if args.theta is not None:
@@ -200,16 +191,11 @@ def _cmd_lift(args) -> Report:
         # lift_flat checked the mass ratio and the projection
         rep.bound("mass_within_ratio", True)
         rep.bound("projection_recovers_input", True)
-    if args.out:
-        save_chain(lifted, args.out)
-        rep.add("out", args.out)
-    return rep
+    return lifted
 
 
-def _cmd_cancel_loops(args) -> Report:
-    chain = load_chain(args.file)
+def _cmd_cancel_loops(args, chain, rep):
     out, lift_rep = loop_cancel(chain)
-    rep = Report()
     _chain_summary(rep, "input", chain)
     _chain_summary(rep, "output", out)
     rep.add("passes", lift_rep.passes)
@@ -217,33 +203,23 @@ def _cmd_cancel_loops(args) -> Report:
     for name in ("all_integral", "boundary_unchanged", "mass_nonincreasing",
                  "pass_count_le_terms"):
         rep.bound(name, True)
-    if args.out:
-        save_chain(out, args.out)
-        rep.add("out", args.out)
-    return rep
+    return out
 
 
-def _cmd_br_correct(args) -> Report:
-    chain = load_chain(args.file)
+def _cmd_br_correct(args, chain, rep):
     out, d_used = br_correct(chain, route=args.route)
-    rep = Report()
     _chain_summary(rep, "input", chain)
     _chain_summary(rep, "output", out)
     rep.add("d_used", d_used)
     # br_correct checked all three bounds
     for name in ("projection_zero", "boundary_unchanged", "mass_ratio_le_d"):
         rep.bound(name, True)
-    if args.out:
-        save_chain(out, args.out)
-        rep.add("out", args.out)
-    return rep
+    return out
 
 
-def _cmd_cycle_extend(args) -> Report:
-    chain = load_chain(args.file)
+def _cmd_cycle_extend(args, chain, rep):
     epsilon = _fraction_arg(args.epsilon, "--epsilon")
     cycle, carriers, defect, stage_rep = cycle_extension(chain, epsilon)
-    rep = Report()
     in_mass = _chain_summary(rep, "input", chain)
     out_mass = _chain_summary(rep, "cycle", cycle)
     rep.add("stages", len(stage_rep.stages))
@@ -254,17 +230,12 @@ def _cmd_cycle_extend(args) -> Report:
     bound = in_mass * (2 + epsilon) + stage_rep.epsilon_terminal
     rep.bound("mass_within_bound", (out_mass - bound).sign() <= 0)
     rep.bound("defect_within_terminal", True)  # checked by cycle_extension
-    if args.out:
-        save_chain(cycle, args.out)
-        rep.add("out", args.out)
-    return rep
+    return cycle
 
 
-def _cmd_disjoint_rep(args) -> Report:
-    chain = load_chain(args.file)
+def _cmd_disjoint_rep(args, chain, rep):
     epsilon = _fraction_arg(args.epsilon, "--epsilon")
     out, stage_rep = disjoint_representative(chain, ApproxBudget(epsilon=epsilon))
-    rep = Report()
     in_mass = _chain_summary(rep, "input", chain)
     out_mass = _chain_summary(rep, "representative", out)
     rep.add("stages", len(stage_rep.stages))
@@ -272,16 +243,11 @@ def _cmd_disjoint_rep(args) -> Report:
     bound = in_mass * (1 + epsilon) + stage_rep.epsilon_terminal
     rep.bound("mass_within_bound", (out_mass - bound).sign() <= 0)
     rep.bound("boundary_preserved", True)  # checked by disjoint_representative
-    if args.out:
-        save_chain(out, args.out)
-        rep.add("out", args.out)
-    return rep
+    return out
 
 
-def _cmd_decompose_levels(args) -> Report:
-    u = load_grid_function(args.file)
+def _cmd_decompose_levels(args, u, rep):
     result = verify_coarea(u)
-    rep = Report()
     rep.add("ambient_dim", u.ambient_dim)
     rep.add("resolution", u.resolution)
     rep.add("slices", result.slice_count)
@@ -291,19 +257,11 @@ def _cmd_decompose_levels(args) -> Report:
     rep.bound("gap_zero", result.gap == 0)
     rep.bound("chain_identity", result.chain_identity)
     if args.out:
-        doc = {"slices": [{"t_low": str(sl.t_low),
-                           "t_high": str(sl.t_high),
-                           "chain": chain_to_document(sl.chain)}
-                          for sl in result.slices]}
-        with open(args.out, "w") as fp:
-            fp.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        save_slices(result.slices, args.out)
         rep.add("out", args.out)
-    return rep
 
 
-def _cmd_validate(args) -> Report:
-    chain = load_chain(args.file)
-    rep = Report()
+def _cmd_validate(args, chain, rep):
     rep.add("ambient_dim", chain.ambient_dim)
     rep.add("dim", chain.dim)
     rep.add("group", chain.group.tag)
@@ -311,14 +269,12 @@ def _cmd_validate(args) -> Report:
             if chain.complex is not None else "none")
     _chain_summary(rep, "chain", chain)
     rep.bound("round_trip_exact", parse_chain(emit_chain(chain)) == chain)
-    return rep
 
 
-def _cmd_gen(args) -> Report:
+def _cmd_gen(args, _, rep):
     d, n = _parse_grid(args.grid)
     check_grid_size(d, n, "--grid")
     group = group_from_tag(args.group)
-    rep = Report()
     rep.add("kind", args.kind)
     rep.add("grid", "%d,%d" % (d, n))
     rep.add("seed", args.seed)
@@ -327,7 +283,7 @@ def _cmd_gen(args) -> Report:
         save_grid_function(u, args.out)
         rep.add("cells", len(u.values))
         rep.add("out", args.out)
-        return rep
+        return None
     if args.kind == "chain":
         chain = random_chain(args.seed, d, n, args.dim, group, args.terms)
     elif args.kind == "cycle":
@@ -340,15 +296,14 @@ def _cmd_gen(args) -> Report:
         chain = random_integral_boundary_chain(args.seed, d, n, d - 1, args.terms)
     else:
         raise ChainFileError("gen: unknown kind %r" % args.kind)
-    save_chain(chain, args.out)
     _chain_summary(rep, "chain", chain)
-    rep.add("out", args.out)
-    return rep
+    return chain
 
 
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polychain",
@@ -356,61 +311,53 @@ def build_parser() -> argparse.ArgumentParser:
                     "coefficient lifting, coarea slicing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, handler, help_text, chain_input=True):
+    def cmd(name, help_text, out_help=None, chain_input=True):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
         if chain_input:
             p.add_argument("file", help="input file")
-            p.add_argument("--report", help="also write the report here")
+        p.add_argument("--report", help="also write the report here")
+        if out_help:
+            # a command without an input file exists for its output
+            p.add_argument("--out", required=not chain_input, help=out_help)
         return p
 
-    cmd("mass", _cmd_mass, "exact and decimal mass of a chain")
+    cmd("mass", "exact and decimal mass of a chain")
+    cmd("boundary", "boundary chain", "write the boundary chain here")
 
-    p = cmd("boundary", _cmd_boundary, "boundary chain")
-    p.add_argument("--out", help="write the boundary chain here")
-
-    p = cmd("flatnorm", _cmd_flatnorm, "flat norm with witness decomposition")
+    p = cmd("flatnorm", "flat norm with witness decomposition", "witness file prefix")
     p.add_argument("--exact", action="store_true",
                    help="also run the exact-rational route and compare")
     p.add_argument("--tolerance", type=float, default=1e-7,
                    help="route agreement tolerance (default 1e-7)")
-    p.add_argument("--out", help="witness file prefix")
 
-    p = cmd("project", _cmd_project, "apply the circle-coefficient projection")
-    p.add_argument("--out", help="write the projected chain here")
+    cmd("project", "apply the circle-coefficient projection",
+        "write the projected chain here")
 
-    p = cmd("lift", _cmd_lift, "lift circle coefficients to real ones")
+    p = cmd("lift", "lift circle coefficients to real ones", "write the lifted chain here")
     p.add_argument("--k", type=int, help="assert the chain dimension")
     p.add_argument("--theta", help="fixed threshold in (1/4, 3/4)")
     p.add_argument("--epsilon", default="1/10", help="stage budget (default 1/10)")
-    p.add_argument("--out", help="write the lifted chain here")
 
-    p = cmd("cancel-loops", _cmd_cancel_loops,
-            "cancel fractional loops in a 1-chain with integral boundary")
-    p.add_argument("--out", help="write the integral chain here")
+    cmd("cancel-loops", "cancel fractional loops in a 1-chain with integral boundary",
+        "write the integral chain here")
 
-    p = cmd("br-correct", _cmd_br_correct,
-            "boundary-preserving correction to zero circle projection")
+    p = cmd("br-correct", "boundary-preserving correction to zero circle projection",
+            "write the corrected chain here")
     p.add_argument("--route", choices=("auto", "loop", "fill"), default="auto")
-    p.add_argument("--out", help="write the corrected chain here")
 
-    p = cmd("cycle-extend", _cmd_cycle_extend,
-            "extend a chain to a cycle of controlled mass")
+    p = cmd("cycle-extend", "extend a chain to a cycle of controlled mass",
+            "write the cycle here")
     p.add_argument("--epsilon", default="1/10", help="stage budget (default 1/10)")
-    p.add_argument("--out", help="write the cycle here")
 
-    p = cmd("disjoint-rep", _cmd_disjoint_rep,
-            "flat-close representative with stagewise disjoint support")
+    p = cmd("disjoint-rep", "flat-close representative with stagewise disjoint support",
+            "write the representative here")
     p.add_argument("--epsilon", default="1/10", help="stage budget (default 1/10)")
-    p.add_argument("--out", help="write the representative here")
 
-    p = cmd("decompose-levels", _cmd_decompose_levels,
-            "coarea slicing of a grid-function file")
-    p.add_argument("--out", help="write the slice chains here (JSON)")
+    cmd("decompose-levels", "coarea slicing of a grid-function file",
+        "write the slice chains here (JSON)")
+    cmd("validate", "parse, canonicalize and round-trip a chain file")
 
-    cmd("validate", _cmd_validate, "parse, canonicalize and round-trip a chain file")
-
-    p = cmd("gen", _cmd_gen, "generate a seeded random instance", chain_input=False)
+    p = cmd("gen", "generate a seeded random instance", "output file", chain_input=False)
     p.add_argument("kind",
                    choices=("chain", "cycle", "top", "loop-defect",
                             "codim-defect", "function"))
@@ -420,28 +367,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=1, help="chain dimension")
     p.add_argument("--terms", type=int, default=6, help="target term count")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output file")
-    p.add_argument("--report", help="also write the report here")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # resolved at dispatch, so a handler patched into this module is the one run
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
+    rep = Report()
     try:
-        rep = args.handler(args)
-    except (ChainFileError, OSError) as exc:
-        print("error [cli]: %s" % exc, file=sys.stderr)
-        return 1
-    except (GroupError, GeometryError, GridError, ChainError, LPError,
-            CertificateError, ApproxError, LiftError, GenError,
-            ValueError, ArithmeticError, MemoryError) as exc:
-        print("error [%s]: %s" % (_module_of(exc), str(exc) or type(exc).__name__),
+        if args.command == "gen":
+            loaded = None
+        elif args.command == "decompose-levels":
+            loaded = load_grid_function(args.file)
+        else:
+            loaded = load_chain(args.file)
+        out = handler(args, loaded, rep)
+        if out is not None and args.out:
+            save_chain(out, args.out)
+            rep.add("out", args.out)
+    except _CAUGHT as exc:
+        code, module = next((code, module) for klass, code, module in _ERRORS
+                            if isinstance(exc, klass))
+        print("error [%s]: %s" % (module, str(exc) or type(exc).__name__),
               file=sys.stderr)
-        return 2
-    rep.write(sys.stdout, getattr(args, "report", None))
+        return code
+    rep.write(sys.stdout, args.report)
     return 0 if rep.passed else 2

@@ -1,6 +1,6 @@
 """Structured backend: Kuhn triangulation of a cubical grid.
 
-The box [origin, origin + side]^d is cut into n^d cells; each cell is split
+The unit box [0, 1]^d is cut into n^d cells; each cell is split
 into d! simplices along vertex paths that append unit steps in every
 coordinate order.  The resulting complex is simplicial, its simplices are
 exactly the monotone vertex chains of the cell lattices, and refining the
@@ -25,7 +25,7 @@ from itertools import combinations, permutations, product
 
 from . import chains as _chains
 from .geometry import (Simplex, _hull_constraints, canonical, det, faces,
-                       simplex_in_simplex, solve_linear)
+                       simplex_in_simplex)
 from .radicals import RadicalSum
 
 
@@ -40,34 +40,22 @@ def _perm_sign(perm) -> int:
 
 
 class GridComplex:
-    __slots__ = ("ambient_dim", "resolution", "origin", "side",
-                 "_simplices", "_index", "_top_orient", "_cube_tops",
-                 "_incidence", "_coboundary")
+    __slots__ = ("ambient_dim", "resolution", "_simplices", "_index",
+                 "_top_orient", "_cube_tops", "_incidence", "_coboundary")
 
-    def __init__(self, ambient_dim: int, resolution: int, origin=None, side=1):
+    def __init__(self, ambient_dim: int, resolution: int):
         if ambient_dim not in (1, 2, 3):
             raise GridError("ambient dimension must be 1, 2 or 3")
         if resolution < 1:
             raise GridError("resolution must be >= 1")
-        side = Fraction(side)
-        if side <= 0:
-            raise GridError("side must be positive")
-        if origin is None:
-            origin = tuple(Fraction(0) for _ in range(ambient_dim))
-        else:
-            origin = tuple(Fraction(x) for x in origin)
-            if len(origin) != ambient_dim:
-                raise GridError("origin dimension mismatch")
         self.ambient_dim = ambient_dim
         self.resolution = resolution
-        self.origin = origin
-        self.side = side
 
         d, n = ambient_dim, resolution
-        step = side / n
+        step = Fraction(1, n)
         tops = []  # (simplex, orient, cube)
         for cube in product(range(n), repeat=d):
-            corner = tuple(origin[j] + step * cube[j] for j in range(d))
+            corner = tuple(step * c for c in cube)
             for perm in permutations(range(d)):
                 path = [corner]
                 cur = list(corner)
@@ -222,22 +210,13 @@ class GridComplex:
     # -- geometry ------------------------------------------------------------------
 
     def diameter(self) -> RadicalSum:
-        return RadicalSum.sqrt_rational(self.ambient_dim) * self.side
+        return RadicalSum.sqrt_rational(self.ambient_dim)
 
     def bbox(self):
-        return self.origin, tuple(x + self.side for x in self.origin)
-
-    def same_as(self, other) -> bool:
-        return (isinstance(other, GridComplex)
-                and self.ambient_dim == other.ambient_dim
-                and self.resolution == other.resolution
-                and self.origin == other.origin
-                and self.side == other.side)
+        return (Fraction(0),) * self.ambient_dim, (Fraction(1),) * self.ambient_dim
 
     def __repr__(self):
-        return "GridComplex(d=%d, n=%d, origin=%s, side=%s)" % (
-            self.ambient_dim, self.resolution,
-            tuple(map(str, self.origin)), self.side)
+        return "GridComplex(d=%d, n=%d)" % (self.ambient_dim, self.resolution)
 
 
 # Complexes kept by grid_complex; past this many the oldest is dropped.  A
@@ -247,15 +226,10 @@ MAX_CACHED_GRIDS = 16
 _CACHE: dict[tuple, GridComplex] = {}
 
 
-def grid_complex(ambient_dim: int, resolution: int, origin=None, side=1) -> GridComplex:
-    side = Fraction(side)
-    if origin is None:
-        origin = tuple(Fraction(0) for _ in range(ambient_dim))
-    else:
-        origin = tuple(Fraction(x) for x in origin)
-    key = (ambient_dim, resolution, origin, side)
+def grid_complex(ambient_dim: int, resolution: int) -> GridComplex:
+    key = (ambient_dim, resolution)
     if key not in _CACHE:
-        cx = GridComplex(ambient_dim, resolution, origin, side)
+        cx = GridComplex(ambient_dim, resolution)
         if len(_CACHE) >= MAX_CACHED_GRIDS:
             del _CACHE[next(iter(_CACHE))]
         _CACHE[key] = cx
@@ -272,7 +246,7 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
         raise GridError("ambient dimension mismatch")
     k = chain.dim
     group = chain.group
-    if k == 0 or chain.complex is not None and chain.complex.same_as(target):
+    if k == 0 or chain.complex is not None and chain.complex.resolution == target.resolution:
         # index_of raises for a term off the target lattice
         return target.chain_from_ids(group, k, [(target.index_of(k, s), c)
                                                 for s, c in chain.terms.items()])
@@ -284,8 +258,6 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
         lo, hi = sigma.bbox()
         hull = _hull_constraints(sigma)
         base = sigma.edges()
-        # rows of the (d x k) system expressing a vector in sigma's edge basis
-        basis_rows = [[base[j][i] for j in range(k)] for i in range(chain.ambient_dim)]
         covered = RadicalSum()
         for i, t in enumerate(fine):
             tlo, thi = t.bbox()
@@ -293,13 +265,9 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
                 continue
             if not simplex_in_simplex(t, sigma, hull):
                 continue
-            coords = []
-            for e in t.edges():
-                sol = solve_linear(basis_rows, list(e))
-                if sol is None:
-                    raise GridError("contained simplex outside the spanning plane")
-                coords.append(sol[0])
-            rel = det(coords)
+            # t lies in sigma's affine hull, so its edges are E_t = C E_sigma
+            # and det(E_t E_sigma^T) = det(C) det(Gram(sigma)) has det(C)'s sign
+            rel = det([[sum(a * b for a, b in zip(e, f)) for f in base] for e in t.edges()])
             if rel == 0:
                 raise GridError("degenerate tile")
             c = coeff if rel > 0 else group.neg(coeff)

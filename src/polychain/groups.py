@@ -28,7 +28,6 @@ class Group:
     """Base class; concrete groups are stateless singletons (except ModP)."""
 
     tag = "abstract"
-    discrete = False  # True when all nonzero norms are bounded below
 
     def normalize(self, value) -> Fraction:
         raise NotImplementedError
@@ -73,7 +72,6 @@ class RealGroup(Group):
 
 class IntegerGroup(Group):
     tag = "integer"
-    discrete = True
 
     def normalize(self, value) -> Fraction:
         v = _fraction(value)
@@ -86,8 +84,6 @@ class IntegerGroup(Group):
 
 
 class ModPGroup(Group):
-    discrete = True
-
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
             raise GroupError("mod-p group needs integer p >= 2, got %r" % (p,))

@@ -270,9 +270,9 @@ def fill_boundary(cycle: PolyChain) -> PolyChain:
     """The unique top-dimensional grid chain whose boundary is the given
     codimension-one cycle (coefficients in the circle group).
 
-    Propagates cell values across interior faces from a root cell, pins
-    the global constant at an outer face, then verifies the boundary
-    identity exactly."""
+    Starts at the cell of an outer face, whose value that face fixes,
+    propagates cell values across interior faces, then verifies the
+    boundary identity exactly."""
     if cycle.group.tag != "circle":
         raise LiftError("fill expects circle coefficients")
     complex = cycle.complex
@@ -295,27 +295,23 @@ def fill_boundary(cycle: PolyChain) -> PolyChain:
         elif len(cofs) == 1 and pin is None:
             pin = (face_id, cofs[0])
 
-    alpha = [None] * n_top
-    beta = [0] * n_top
-    alpha[0], beta[0] = Fraction(0), 1
-    queue = [0]
+    if pin is None:
+        raise LiftError("no outer face to pin the constant")
+    # the frame outside the box is zero, so the outer face fixes its cell:
+    # r*s_root = z
+    face_id, (root, r) = pin
+    values = [None] * n_top
+    values[root] = r * z[face_id]
+    queue = [root]
     while queue:
         c1 = queue.pop()
         for c2, face_id, r1, r2 in adjacency[c1]:
-            if alpha[c2] is not None:
-                continue
-            # r1*s1 + r2*s2 = z  =>  s2 = r2*(z - r1*s1)
-            alpha[c2] = r2 * (z[face_id] - r1 * alpha[c1])
-            beta[c2] = -r2 * r1 * beta[c1]
-            queue.append(c2)
-    if any(a is None for a in alpha):
+            if values[c2] is None:
+                # r1*s1 + r2*s2 = z  =>  s2 = r2*(z - r1*s1)
+                values[c2] = r2 * (z[face_id] - r1 * values[c1])
+                queue.append(c2)
+    if any(v is None for v in values):
         raise LiftError("dual graph is not connected")
-    if pin is None:
-        raise LiftError("no outer face to pin the constant")
-    face_id, (c, r) = pin
-    # r*(alpha + beta*s0) = z  =>  s0 = beta*(r*z - alpha)
-    s0 = beta[c] * (r * z[face_id] - alpha[c])
-    values = [CIRCLE.normalize(a + b * s0) for a, b in zip(alpha, beta)]
     fill = complex.chain_from_vector(CIRCLE, d, values)
     if fill.boundary() != cycle:
         raise LiftError("fill verification failed")

@@ -248,6 +248,3 @@ class RadicalSum:
 
     def __repr__(self):
         return "RadicalSum(%s)" % self
-
-
-ZERO = RadicalSum()

@@ -21,13 +21,11 @@ class Report:
     def __init__(self):
         self.lines = []
         self._failed = 0
-        self._asserted = 0
 
     def add(self, key: str, value):
         self.lines.append("%s = %s" % (key, format_value(value)))
 
     def bound(self, key: str, ok: bool):
-        self._asserted += 1
         if not ok:
             self._failed += 1
         self.add(key, bool(ok))

@@ -60,13 +60,6 @@ def test_complex_free_chains_round_trip():
     assert back.complex is None
 
 
-def test_off_box_complexes_are_rejected_on_emit():
-    cx = grid_complex(2, 1, origin=(F(1), F(1)), side=F(2))
-    ch = cx.full_chain(REAL)
-    with pytest.raises(ChainFileError):
-        emit_chain(ch)
-
-
 def test_malformed_json_reports_location():
     with pytest.raises(ChainFileError) as err:
         parse_chain('{"ambient_dim": 2,\n  "dim": }')

@@ -1,17 +1,20 @@
 """End-to-end command-line runs, in process, against temp files."""
 
+import argparse
 import json
 import os
 import re
 import sys
 from fractions import Fraction
 
-from polychain import chainfile, coarea, flatnorm
+import pytest
+
+from polychain import chainfile, cli, coarea, flatnorm
 from polychain.chainfile import (chain_to_document, load_chain, save_chain,
                                  save_grid_function)
 from polychain.chains import PolyChain
 from polychain.cli import main
-from polychain.gen import (random_circle_top, random_grid_function,
+from polychain.gen import (random_chain, random_circle_top, random_grid_function,
                            random_integral_boundary_chain)
 from polychain.grid import GridComplex, GridError, grid_complex
 from polychain.groups import REAL
@@ -403,3 +406,66 @@ def test_oversized_grid_function_is_refused_before_its_values_are_read(tmp_path,
     assert out == ""
     assert err.startswith("error [chainfile]:") and "MAX_GRID_SIMPLICES" in err
     assert parsed == [] and built == []
+
+
+def test_main_runs_the_handler_the_module_holds_at_dispatch(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "seg.json"
+    path.write_text(HALF_SEGMENT)
+    assert run(capsys, "mass", str(path))[0] == 0   # the parser exists before the patch
+    seen = []
+
+    def stub(args, chain, rep):
+        seen.append((args.command, len(chain)))
+        rep.add("stub", "ran")
+    monkeypatch.setattr(cli, "_cmd_mass", stub)
+    code, out, err = run(capsys, "mass", str(path))
+    assert (code, out, err) == (0, "stub = ran\nVERDICT = PASS\n", "")
+    assert seen == [("mass", 1)]
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "seg.json"
+    path.write_text(HALF_SEGMENT)
+    cli.build_parser.cache_clear()
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(3):
+        assert run(capsys, "mass", str(path))[0] == 0
+    assert progs.count("polychain") == 1
+
+
+# (command line before the input file, input chain or None for gen)
+SINGLE_CHAIN_OUT = {
+    "boundary": (["boundary"], lambda: random_chain(3, 2, 2, 1)),
+    "project": (["project"], lambda: random_chain(3, 2, 2, 1)),
+    "lift": (["lift"], lambda: random_circle_top(5, 2, 3)),
+    "cancel-loops": (["cancel-loops"], lambda: random_integral_boundary_chain(4, 2, 2, 1)),
+    "br-correct": (["br-correct", "--route", "fill"],
+                   lambda: random_integral_boundary_chain(6, 3, 1, 2)),
+    "cycle-extend": (["cycle-extend"], lambda: random_chain(3, 2, 2, 1)),
+    "disjoint-rep": (["disjoint-rep"], lambda: random_chain(8, 2, 2, 1, terms=4)),
+    "gen": (["gen", "cycle", "--grid", "2,3", "--seed", "3"], None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SINGLE_CHAIN_OUT))
+def test_single_chain_out_is_written_once_by_main(command, tmp_path, capsys):
+    argv, make_input = SINGLE_CHAIN_OUT[command]
+    argv = list(argv)
+    if make_input is not None:
+        src = str(tmp_path / "in.json")
+        save_chain(make_input(), src)
+        argv.append(src)
+    dst = str(tmp_path / "out.json")
+    code, out, err = run(capsys, *argv, "--out", dst)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-2:] == ["out = " + dst, "VERDICT = PASS"]
+    # the file holds the chain the report summarized last
+    reported_terms = re.findall(r"^\w+_terms = (\d+)$", out, re.M)
+    assert len(load_chain(dst)) == int(reported_terms[-1])
