@@ -16,8 +16,11 @@ never floats, so a round trip is bit-exact:
 
 Slice files (`decompose-levels --out`) are JSON documents
 {"slices": [{"t_low": "p/q", "t_high": "p/q", "chain": <chain document>}, ...]}.
-Both JSON layouts are written by one encoder call (`_emit`): two-space
-indent, sorted keys, a final newline.
+Both JSON layouts are rendered directly by string joins (`emit_chain`,
+`emit_slices`), reproducing `json.dumps(doc, indent=2, sort_keys=True)`
+plus a final newline byte for byte; tests pin this against that call on
+`chain_to_document`, which stays the schema's reference.  Reading a chain
+parses each distinct coordinate or coefficient string once.
 
 Grid-function files are plain text: a header line "d n" followed by n^d
 rationals in row-major order (the function is zero outside the unit box).
@@ -176,6 +179,19 @@ def document_to_chain(doc) -> PolyChain:
         check_grid_size(ambient, n, "complex")
         complex = grid_complex(ambient, n)
     raw = _require(doc, "simplices", list, "chain")
+    # Each distinct string is parsed once, at its first occurrence, so a
+    # bad one is reported there.  Only str values are kept: True == 1 and
+    # both hash alike, so a cached 1 would let a JSON true through.
+    known: dict[str, Fraction] = {}
+
+    def rational(x, where, *args):
+        q = known.get(x) if type(x) is str else None
+        if q is None:
+            q = parse_rational(x, where % args)
+            if type(x) is str:
+                known[x] = q
+        return q
+
     items = []
     for i, entry in enumerate(raw):
         where = "simplices[%d]" % i
@@ -190,20 +206,46 @@ def document_to_chain(doc) -> PolyChain:
             if not isinstance(v, list) or len(v) != ambient:
                 raise ChainFileError("%s: vertex %d must list %d coordinates"
                                      % (where, j, ambient))
-            vertices.append(tuple(parse_rational(x, "%s vertex %d" % (where, j))
-                                  for x in v))
-        coeff = parse_rational(_require(entry, "coeff", (int, str), where),
-                               "%s coeff" % where)
+            vertices.append(tuple(rational(x, "%s vertex %d", where, j) for x in v))
+        coeff = rational(_require(entry, "coeff", (int, str), where), "%s coeff", where)
         items.append((tuple(vertices), coeff))
     return PolyChain.build(group, ambient, dim, items, complex=complex)
 
 
-def _emit(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _chain_text(chain: PolyChain, pad: str) -> str:
+    """chain_to_document(chain) laid out as json.dumps(indent=2,
+    sort_keys=True) lays it out when the object opens at indent `pad`.
+
+    Every string in the document is a group tag or a str() of a Fraction,
+    which JSON quotes without escapes."""
+    p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
+    lines = ["{", '%s"ambient_dim": %d,' % (p1, chain.ambient_dim)]
+    if chain.complex is not None:
+        lines.append('%s"complex": {\n%s"n": %d,\n%s"type": "kuhn"\n%s},'
+                     % (p1, p2, chain.complex.resolution, p2, p1))
+    lines.append('%s"dim": %d,' % (p1, chain.dim))
+    lines.append('%s"group": "%s",' % (p1, chain.group.tag))
+    integral = chain.group.tag != "real" and chain.group.tag != "circle"
+    coord_sep = '",\n' + p5 + '"'
+    vertex_open = "%s[\n%s\"" % (p4, p5)
+    vertex_close = '"\n%s]' % p4
+    simplices = []
+    for simplex, coeff in chain.items_sorted():
+        coeff_text = str(int(coeff)) if integral else '"%s"' % coeff
+        vertices = ",\n".join(vertex_open + coord_sep.join(map(str, v)) + vertex_close
+                               for v in simplex.vertices)
+        simplices.append('%s{\n%s"coeff": %s,\n%s"vertices": [\n%s\n%s]\n%s}'
+                         % (p2, p3, coeff_text, p3, vertices, p3, p2))
+    if simplices:
+        lines.append('%s"simplices": [\n%s\n%s]' % (p1, ",\n".join(simplices), p1))
+    else:
+        lines.append('%s"simplices": []' % p1)
+    lines.append(pad + "}")
+    return "\n".join(lines)
 
 
 def emit_chain(chain: PolyChain) -> str:
-    return _emit(chain_to_document(chain))
+    return _chain_text(chain, "") + "\n"
 
 
 def parse_chain(text: str) -> PolyChain:
@@ -229,12 +271,19 @@ def load_chain(path: str) -> PolyChain:
         return parse_chain(fp.read())
 
 
+def emit_slices(slices) -> str:
+    """Coarea level slices (t_low, t_high, chain) as a slice document."""
+    entries = ['    {\n      "chain": %s,\n      "t_high": "%s",\n      "t_low": "%s"\n    }'
+               % (_chain_text(sl.chain, "      "), sl.t_high, sl.t_low) for sl in slices]
+    if not entries:
+        return '{\n  "slices": []\n}\n'
+    return '{\n  "slices": [\n%s\n  ]\n}\n' % ",\n".join(entries)
+
+
 def save_slices(slices, path: str):
     """Write coarea level slices (t_low, t_high, chain) as a slice file."""
-    doc = {"slices": [{"t_low": str(sl.t_low), "t_high": str(sl.t_high),
-                       "chain": chain_to_document(sl.chain)} for sl in slices]}
     with open(path, "w") as fp:
-        fp.write(_emit(doc))
+        fp.write(emit_slices(slices))
 
 
 # -- grid-function files -----------------------------------------------------

@@ -214,10 +214,7 @@ class PolyChain:
             if n:
                 for rad, c in simplex.volume().terms.items():
                     weights[rad] = weights.get(rad, 0) + c * n
-        total = RadicalSum()
-        for rad, w in weights.items():
-            total._insert(rad, w)
-        return total
+        return RadicalSum.from_weights(weights)
 
     def mass(self) -> float:
         return float(self.mass_exact())

@@ -144,10 +144,12 @@ def verify_coarea(u: GridFunction) -> CoareaReport:
     slices = level_slices(u)
     lhs = boundary.mass_exact().as_rational()
     rhs = Fraction(0)
-    combined = PolyChain.zero(REAL, u.ambient_dim, u.ambient_dim - 1)
+    combined: dict = {}  # the weighted slice sum, term by term
     for sl in slices:
-        rhs += sl.width * sl.chain.mass_exact().as_rational()
-        combined = combined + sl.chain.as_real().scale(sl.width)
-    identity = combined == boundary
+        width = sl.width
+        rhs += width * sl.chain.mass_exact().as_rational()
+        for s, c in sl.chain.terms.items():
+            combined[s] = combined.get(s, 0) + c * width
+    identity = {s: c for s, c in combined.items() if c} == boundary.terms
     return CoareaReport(boundary_mass=lhs, slice_mass=rhs, gap=lhs - rhs,
                         chain_identity=identity, slices=slices)

@@ -110,18 +110,52 @@ def threshold_profile(chain: PolyChain) -> ThresholdProfile:
 
     The lift changes only when the threshold crosses a coefficient, so
     the profile is constant between the distinct coefficients lying in
-    (1/4, 3/4); each interval is evaluated at its midpoint.
+    (1/4, 3/4); each interval is labelled by its midpoint.
+
+    One sweep computes it.  Just above 1/4 a cell with c <= 1/4 keeps c
+    and every other cell takes c - 1; the boundary coefficients of that
+    lift are summed once from the incidence table, and its mass is kept
+    as rational weights per volume radicand, sum |coef_f| * vol_f.  When
+    the threshold crosses a break b, only the cells with c == b step up
+    by 1, so only their faces' coefficients and those faces' weights
+    change.  Each interval's mass is built from the weights as
+    `PolyChain.mass_exact` builds it.
     """
     _require_top(chain)
     lo, hi = Fraction(1, 4), Fraction(3, 4)
-    breaks = sorted({c for c in chain.terms.values() if lo < c < hi})
+    cx, d = chain.complex, chain.dim
+    incidence, lower = cx.incidence(d), cx.simplices(d - 1)
+    coef: dict[int, Fraction] = {}
+    rising: dict[Fraction, list] = {}  # break -> incidence rows of its cells
+    for s, c in chain.terms.items():
+        row = incidence[cx.index_of(d, s)]
+        if lo < c < hi:
+            rising.setdefault(c, []).append(row)
+        g = c if c <= lo else c - 1
+        for f, sign in row:
+            coef[f] = coef.get(f, 0) + (g if sign > 0 else -g)
+    volume = {f: lower[f].volume().terms.items() for f in coef}
+    weights: dict[int, Fraction] = {}
+    for f, g in coef.items():
+        if g:
+            for rad, v in volume[f]:
+                weights[rad] = weights.get(rad, 0) + abs(g) * v
+
+    breaks = sorted(rising)
     points = [lo] + breaks + [hi]
     intervals = []
     integral = RadicalSum()
     best = None
     for a, b in zip(points, points[1:]):
+        for row in rising.get(a, ()):
+            for f, sign in row:
+                old = coef[f]
+                coef[f] = new = old + sign
+                step = abs(new) - abs(old)
+                for rad, v in volume[f]:
+                    weights[rad] = weights.get(rad, 0) + step * v
         mid = (a + b) / 2
-        mass = lift_top_threshold(chain, mid).boundary().mass_exact()
+        mass = RadicalSum.from_weights(weights)
         intervals.append((a, b, mid, mass))
         integral = integral + mass * (b - a)
         if best is None or (mass - best[1]).sign() < 0:

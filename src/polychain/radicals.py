@@ -70,6 +70,15 @@ class RadicalSum:
         out._insert(rad, Fraction(mult, q.denominator))
         return out
 
+    @classmethod
+    def from_weights(cls, weights) -> "RadicalSum":
+        """sum w * sqrt(rad) over a {rad: w} map, each radicand folded in
+        once, in the map's order."""
+        out = cls()
+        for rad, w in weights.items():
+            out._insert(rad, w)
+        return out
+
     def _insert(self, rad: int, coeff: Fraction) -> None:
         if coeff == 0:
             return

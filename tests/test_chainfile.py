@@ -1,20 +1,22 @@
 """Chain and grid-function files: round trips and parse diagnostics."""
 
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from polychain.chainfile import (MAX_GRID_SIMPLICES, MAX_RATIONAL_DIGITS, ChainFileError,
-                                 InputLimitError, emit_chain, emit_grid_function,
-                                 load_chain, parse_chain, parse_grid_function,
-                                 parse_rational, save_chain, save_grid_function,
-                                 load_grid_function)
+                                 InputLimitError, chain_to_document, emit_chain,
+                                 emit_grid_function, emit_slices, load_chain, parse_chain,
+                                 parse_grid_function, parse_rational, save_chain,
+                                 save_grid_function, save_slices, load_grid_function)
 from polychain.chains import PolyChain
-from polychain.coarea import GridFunction
-from polychain.gen import random_chain, random_circle_chain, random_grid_function
+from polychain.coarea import GridFunction, level_slices
+from polychain.gen import (random_chain, random_circle_chain, random_circle_top,
+                           random_grid_function, random_integral_boundary_chain)
 from polychain.grid import grid_complex
-from polychain.groups import INTEGER, REAL, modp
+from polychain.groups import CIRCLE, INTEGER, REAL, modp
 
 F = Fraction
 
@@ -176,3 +178,93 @@ def test_grid_function_parse_errors():
     # decimal tokens parse exactly, they are not binary floats
     u = parse_grid_function("1 2\n0.5 1\n")
     assert u.values == (F(1, 2), 1)
+
+
+def reference_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def slices_document(slices) -> dict:
+    return {"slices": [{"t_low": str(sl.t_low), "t_high": str(sl.t_high),
+                        "chain": chain_to_document(sl.chain)} for sl in slices]}
+
+
+def test_chain_writer_matches_the_indented_json_encoder():
+    cx = grid_complex(2, 3)
+    free = PolyChain.build(REAL, 3, 2, [(((F(0), F(0), F(0)), (F(-1, 3), F(2), F(0)),
+                                          (F(5), F(0), F(7, 9))), F(-5, 7))])
+    chains = [free, free.scale(-3), PolyChain.zero(REAL, 2, 1),
+              PolyChain.zero(CIRCLE, 2, 2, cx), cx.full_chain(INTEGER).boundary(),
+              -cx.full_chain(INTEGER), cx.full_chain(modp(5), 3).boundary(),
+              PolyChain.build(modp(5), 2, 1, [(((F(0), F(0)), (F(1, 3), F(0))), -1)],
+                              complex=cx)]
+    for seed in range(6):
+        chains += [random_chain(seed, 2, 3, 1), random_chain(seed, 3, 1, 2, terms=4),
+                   random_circle_chain(seed, 2, 2, 1), random_circle_top(seed, 2, 5),
+                   random_integral_boundary_chain(seed, 3, 2, 2),
+                   random_integral_boundary_chain(seed, 2, 3, 1),
+                   PolyChain.build(REAL, 2, 1, [(s.vertices, c) for s, c in
+                                                random_chain(seed, 2, 2, 1).terms.items()])]
+    groups = set()
+    for ch in chains:
+        groups.add((ch.group.tag, ch.complex is not None))
+        assert emit_chain(ch) == reference_text(chain_to_document(ch)), ch
+    assert {"real", "integer", "mod:5", "circle"} <= {tag for tag, _ in groups}
+    assert {(False, "real"), (True, "real")} <= {(grid, tag) for tag, grid in groups}
+
+
+def test_slice_writer_matches_the_indented_json_encoder(tmp_path):
+    functions = [GridFunction.build(2, 3, [0] * 9), GridFunction.build(1, 2, (F(-1, 2), 3))]
+    functions += [random_grid_function(seed, d, n) for seed in range(4)
+                  for d, n in ((1, 5), (2, 4), (3, 2))]
+    for u in functions:
+        slices = level_slices(u)
+        assert emit_slices(slices) == reference_text(slices_document(slices))
+    assert emit_slices([]) == reference_text({"slices": []})
+    path = str(tmp_path / "slices.json")
+    save_slices(level_slices(functions[-1]), path)
+    with open(path) as fp:
+        assert fp.read() == emit_slices(level_slices(functions[-1]))
+
+
+def test_repeated_strings_are_parsed_once_and_bad_ones_reported_first(monkeypatch):
+    from polychain import chainfile
+
+    ch = random_circle_top(3, 2, 3)
+    doc = chain_to_document(ch)
+    parsed = []
+
+    def counted(value, where):
+        parsed.append(value)
+        return parse_rational(value, where)
+    monkeypatch.setattr(chainfile, "parse_rational", counted)
+    assert parse_chain(json.dumps(doc)) == ch
+    coords = [x for entry in doc["simplices"] for v in entry["vertices"] for x in v]
+    coeffs = [entry["coeff"] for entry in doc["simplices"]]
+    assert sorted(parsed) == sorted(set(coords + coeffs))
+    assert len(parsed) < len(coords)
+
+    doc["simplices"][1]["vertices"][2][0] = "1/0"
+    doc["simplices"][4]["vertices"][0][1] = "1/0"
+    with pytest.raises(ChainFileError, match=r"simplices\[1\] vertex 2: not a rational"):
+        parse_chain(json.dumps(doc))
+
+
+def test_a_true_coordinate_is_refused_after_a_one(tmp_path, capsys):
+    from polychain.cli import main
+
+    # True == 1 and both hash alike, so a parse cache keyed on ints would
+    # hand the second simplex the first one's 1
+    doc = {"ambient_dim": 1, "dim": 1, "group": "real",
+           "simplices": [{"vertices": [[1], ["1/2"]], "coeff": 1},
+                         {"vertices": [["1"], [True]], "coeff": "1"}]}
+    with pytest.raises(ChainFileError, match=r"simplices\[1\] vertex 1"):
+        parse_chain(json.dumps(doc))
+    path = tmp_path / "true.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert "simplices[1] vertex 1" in capsys.readouterr().err
+    doc["simplices"][1]["vertices"][1] = ["2"]
+    doc["simplices"][1]["coeff"] = True
+    with pytest.raises(ChainFileError, match=r"simplices\[1\] coeff"):
+        parse_chain(json.dumps(doc))

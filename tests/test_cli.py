@@ -385,6 +385,40 @@ def test_decompose_levels_writes_the_slices_it_verified(tmp_path, capsys, monkey
     assert out_path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
+def test_lift_coarea_outputs_match_the_indented_json_encoder(tmp_path, capsys):
+    # the four commands of the lift-coarea benchmark job, seeds 1-3; each
+    # --out file is the json.dumps(indent=2, sort_keys=True) rendering of
+    # the chain documents it reloads as
+    def reference(doc):
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    for seed in (1, 2, 3):
+        paths = {name: str(tmp_path / ("%d-%s" % (seed, name)))
+                 for name in ("top.json", "levels.grid", "codim.json", "loop.json")}
+        save_chain(random_circle_top(seed, 2, 5), paths["top.json"])
+        save_grid_function(random_grid_function(seed, 2, 6), paths["levels.grid"])
+        save_chain(random_integral_boundary_chain(seed, 3, 2, 2), paths["codim.json"])
+        save_chain(random_integral_boundary_chain(seed, 2, 3, 1), paths["loop.json"])
+        for argv in (["lift", paths["top.json"]],
+                     ["decompose-levels", paths["levels.grid"]],
+                     ["br-correct", paths["codim.json"], "--route", "fill"],
+                     ["cancel-loops", paths["loop.json"]]):
+            out = argv[1] + ".out.json"
+            code, report, err = run(capsys, *argv, "--out", out)
+            assert (code, err) == (0, ""), argv
+            with open(out) as fp:
+                text = fp.read()
+            if argv[0] == "decompose-levels":
+                doc = json.loads(text)
+                assert len(doc["slices"]) > 1
+                for entry in doc["slices"]:
+                    entry["chain"] = chain_to_document(
+                        chainfile.document_to_chain(entry["chain"]))
+                assert text == reference(doc)
+            else:
+                assert text == reference(chain_to_document(load_chain(out)))
+
+
 def test_oversized_grid_function_is_refused_before_its_values_are_read(tmp_path, capsys,
                                                                         monkeypatch):
     path = tmp_path / "big.grid"

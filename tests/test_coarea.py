@@ -117,3 +117,26 @@ def test_integer_valued_functions_slice_at_unit_steps():
     assert [sl.width for sl in slices] == [1, 1, 1]
     report = verify_coarea(u)
     assert report.gap == 0 and report.chain_identity
+
+
+def test_identity_fails_when_a_slice_is_altered(monkeypatch):
+    from polychain import coarea
+
+    u = random_grid_function(2, 2, 3)
+    slices = level_slices(u)
+    assert len(slices) > 1 and verify_coarea(u).chain_identity
+    # a wider slice, one slice dropped, one slice's chain negated
+    wider = [coarea.LevelSlice(slices[0].t_low - 1, slices[0].t_high, slices[0].chain)]
+    negated = [coarea.LevelSlice(slices[0].t_low, slices[0].t_high, -slices[0].chain)]
+    for altered in (wider + slices[1:], slices[1:], negated + slices[1:]):
+        monkeypatch.setattr(coarea, "level_slices", lambda v, s=altered: s)
+        assert not verify_coarea(u).chain_identity
+    # the middle cell's loop, once each way, on a constant function: its
+    # faces cancel to zero terms, which a chain does not hold
+    flat = GridFunction.build(2, 3, [1] * 9)
+    loop = flat.complex.cube_chain(INTEGER, (1, 1)).boundary()
+    assert not set(loop.terms) & set(function_boundary(flat).terms)
+    pair = [coarea.LevelSlice(F(0), F(1), loop), coarea.LevelSlice(F(0), F(1), -loop)]
+    monkeypatch.setattr(coarea, "level_slices", lambda v: level_slices(v) + pair)
+    report = verify_coarea(flat)
+    assert report.chain_identity and report.gap != 0

@@ -86,6 +86,62 @@ def test_profile_tie_prefers_the_smaller_threshold():
     assert theta == F(3, 8)  # both intervals tie at mass 1
 
 
+def brute_force_profile(chain):
+    """The profile with every interval lifted, bounded and measured afresh
+    at its midpoint: the oracle for threshold_profile's sweep."""
+    lo, hi = F(1, 4), F(3, 4)
+    breaks = sorted({c for c in chain.terms.values() if lo < c < hi})
+    points = [lo] + breaks + [hi]
+    intervals = []
+    integral = RadicalSum()
+    best = None
+    for a, b in zip(points, points[1:]):
+        mid = (a + b) / 2
+        mass = lift_top_threshold(chain, mid).boundary().mass_exact()
+        intervals.append((a, b, mid, mass))
+        integral = integral + mass * (b - a)
+        if best is None or (mass - best[1]).sign() < 0:
+            best = (mid, mass)
+    return tuple(breaks), intervals, integral, best
+
+
+def assert_profile_matches_brute_force(chain):
+    profile = threshold_profile(chain)
+    breaks, intervals, integral, best = brute_force_profile(chain)
+    assert profile.breakpoints == breaks
+    assert len(profile.intervals) == len(intervals)
+    for (a, b, mid, mass), expect in zip(profile.intervals, intervals):
+        assert (a, b, mid) == expect[:3]
+        assert mass.terms == expect[3].terms and str(mass) == str(expect[3])
+    assert profile.integral.terms == integral.terms
+    assert str(profile.integral) == str(integral)
+    assert profile.minimum[0] == best[0] and str(profile.minimum[1]) == str(best[1])
+
+
+def test_profile_sweep_matches_per_interval_lifts_on_seeded_chains():
+    for d, n in ((1, 6), (2, 3), (2, 5), (3, 2)):
+        for seed in range(12):
+            assert_profile_matches_brute_force(random_circle_top(seed, d, n))
+
+
+def test_profile_sweep_matches_per_interval_lifts_on_window_edges():
+    # coefficients exactly at 1/4, 1/2 and 3/4, repeated values, and none
+    cx = grid_complex(2, 3)
+    cells = [(0, 0), (1, 0), (2, 1), (1, 1), (0, 2), (2, 2)]
+    values = [F(1, 4), F(1, 2), F(3, 4), F(1, 2), F(1, 4), F(3, 4)]
+    edges = PolyChain.zero(CIRCLE, 2, 2, cx)
+    for cube, v in zip(cells, values):
+        edges = edges + cx.cube_chain(CIRCLE, cube, v)
+    assert threshold_profile(edges).breakpoints == (F(1, 2),)
+    for ch in (edges, two_cell_chain(), cx.full_chain(CIRCLE, F(1, 3)),
+               PolyChain.zero(CIRCLE, 2, 2, cx), PolyChain.zero(CIRCLE, 1, 1, grid_complex(1, 4)),
+               grid_complex(3, 1).full_chain(CIRCLE, F(1, 2))):
+        assert_profile_matches_brute_force(ch)
+    empty = threshold_profile(PolyChain.zero(CIRCLE, 2, 2, cx))
+    assert empty.breakpoints == () and empty.integral.is_zero()
+    assert [iv[:3] for iv in empty.intervals] == [(F(1, 4), F(3, 4), F(1, 2))]
+
+
 def test_optimal_lift_verifies_its_bounds():
     ch = two_cell_chain()
     theta, lifted, profile = lift_top_optimal(ch)
