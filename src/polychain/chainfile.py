@@ -60,9 +60,10 @@ class InputLimitError(ValueError):
 MAX_RATIONAL_DIGITS = 1000
 
 # Largest grid a chain file, a grid-function file or `gen --grid` may
-# request, in top simplices (n^d * d!).  The complex is built eagerly, in
-# time and memory about proportional to this: d=3 n=12 (10368 top
-# simplices) takes about 4 s.
+# request, in top simplices (n^d * d!).  Time and memory grow about in
+# proportion to this: at d=3 n=12 (10368 top simplices) the complex's
+# integer cells take 0.05 s, and every Simplex object with all incidence
+# tables 0.7 s and 48 MB in all (2 cores, Python 3.11.7).
 MAX_GRID_SIMPLICES = 20000
 
 # Largest flat-norm program the exact route (flat_norm_oracle, `flatnorm

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from . import chainfile, simplex_lp
 from .chains import ChainError, PolyChain
 from .groups import REAL
@@ -124,7 +122,12 @@ def _replay_ok(chain: PolyChain, residual: PolyChain, filling: PolyChain) -> boo
 
 
 def flat_norm(chain: PolyChain, snap_denominator: int = 10 ** 6) -> FlatWitness:
-    """Float-route flat norm with an exactly replaying witness."""
+    """Float-route flat norm with an exactly replaying witness.
+
+    numpy is imported here, as scipy is in simplex_lp.solve_float, so only
+    a float LP pays for loading it."""
+    import numpy as np
+
     _require_real(chain)
     prog = _flat_program(chain)
     nr, nq = prog.nr, prog.nq

@@ -174,6 +174,19 @@ class Simplex:
         self._vol = None
         self._bbox = None
 
+    @classmethod
+    def with_volume(cls, vertices, sqvol, vol) -> "Simplex":
+        """The simplex on `vertices`, already a tuple of Fraction point
+        tuples, with its squared volume and volume already known (a grid
+        cell takes them from its shape); nothing is checked or recomputed."""
+        s = cls.__new__(cls)
+        s.vertices = vertices
+        s._hash = hash(vertices)
+        s._sqvol = sqvol
+        s._vol = vol
+        s._bbox = None
+        return s
+
     @property
     def dim(self) -> int:
         return len(self.vertices) - 1

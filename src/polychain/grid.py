@@ -6,26 +6,46 @@ coordinate order.  The resulting complex is simplicial, its simplices are
 exactly the monotone vertex chains of the cell lattices, and refining the
 grid by any integer ratio refines every simplex of the coarse grid.
 
-All coordinates are Fractions; ids are positions in the vertex-sorted
-simplex lists, so two complexes with equal parameters enumerate identically,
-and sorting a complex's simplices by id orders them as their vertex tuples
-do (`id_key`; complex-backed chains sort their terms this way).  Each
-simplex of a complex is one stored object (`intern` returns it), so its
-hash and volume are computed once however many chains use it.  Chains made
-here are built from cell ids (`chain_from_ids`): (id, coeff) pairs become
-terms keyed by the stored simplices, with no vertex tuple sorted, no new
-Simplex and no `intern` lookup; `PolyChain.build` stays the constructor for
-chains given by vertex tuples (files, free chains).
+The complex is stored as integer lattice cells: a k-cell is the tuple of
+its k+1 lattice points (a vertex times n, each point tuple built once), in
+increasing lexicographic order.  Kuhn's triangulation is translation
+invariant, so every k-cell is v0 + shape for its first point v0 and one of
+a few shapes, the chains 0 < o_1 < ... < o_k of 0/1 offsets that a path
+through the unit cube passes (for d = 3: 1, 7, 12 and 6 shapes for
+k = 0..3).  The k-cells are listed by v0 in lexicographic order and, for
+each v0, by shape in sorted order, which is the vertex-sorted order with
+no sort; a top cell's orientation is the sign of its path's axis order.
+Ids are positions in these lists.  Integer tuples sort as their Fraction
+vertices (the points divided by n) do, so ids are the positions in the
+vertex-sorted simplex lists, two complexes with equal parameters enumerate
+identically, and sorting a complex's simplices by id orders them as their
+vertex tuples do (`id_key`; complex-backed chains sort their terms this
+way).  Incidence rows look each face up in a dict keyed by the integer
+cells.
+
+A dimension's `Simplex` objects (Fraction vertices) and its Simplex -> id
+index are made the first time something asks for them (`simplices`,
+`simplex`, `index_of`, `intern`, `id_key`, `chain_from_ids`,
+`chain_vector`, `contains`).  Volumes are translation invariant, so each
+shape takes one Gram determinant and every cell of the shape gets its
+squared volume and volume from that table entry.  Each simplex of a
+complex is one stored object (`intern` returns it), so its hash and volume
+are computed once however many chains use it.  Chains made here are built
+from cell ids (`chain_from_ids`): (id, coeff) pairs become terms keyed by
+the stored simplices, with no vertex tuple sorted, no new Simplex and no
+`intern` lookup; `PolyChain.build` stays the constructor for chains given
+by vertex tuples (files, free chains).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import ceil, floor
 
 from . import chains as _chains
-from .geometry import (Simplex, _hull_constraints, canonical, det, faces,
-                       simplex_in_simplex)
+from .geometry import Simplex, _hull_constraints, det, faces, simplex_in_simplex
 from .radicals import RadicalSum
 
 
@@ -39,9 +59,31 @@ def _perm_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
+@functools.cache
+def _kuhn_shapes(d: int):
+    """Per k, the sorted shapes (0, o_1, ..., o_k) of the Kuhn k-cells: the
+    offsets from the first vertex along some path through the unit cube.
+    Also the orientation of each top shape in that order, the sign of its
+    path's axis order."""
+    shapes = [set() for _ in range(d + 1)]
+    orient = {}
+    origin = (0,) * d
+    for perm in permutations(range(d)):
+        path = [origin]
+        for axis in perm:
+            path.append(tuple(c + (i == axis) for i, c in enumerate(path[-1])))
+        orient[tuple(path)] = _perm_sign(perm)
+        for k in range(d + 1):
+            for sub in combinations(path, k + 1):
+                shapes[k].add(tuple(tuple(a - b for a, b in zip(p, sub[0])) for p in sub))
+    shapes = tuple(tuple(sorted(s)) for s in shapes)
+    return shapes, tuple(orient[shape] for shape in shapes[d])
+
+
 class GridComplex:
-    __slots__ = ("ambient_dim", "resolution", "_simplices", "_index",
-                 "_top_orient", "_cube_tops", "_incidence", "_coboundary")
+    __slots__ = ("ambient_dim", "resolution", "_cells", "_shape_of", "_ids",
+                 "_fpoint", "_simplices", "_index", "_top_orient", "_cube_cells",
+                 "_incidence", "_coboundary")
 
     def __init__(self, ambient_dim: int, resolution: int):
         if ambient_dim not in (1, 2, 3):
@@ -52,75 +94,121 @@ class GridComplex:
         self.resolution = resolution
 
         d, n = ambient_dim, resolution
-        step = Fraction(1, n)
-        tops = []  # (simplex, orient, cube)
-        for cube in product(range(n), repeat=d):
-            corner = tuple(step * c for c in cube)
-            for perm in permutations(range(d)):
-                path = [corner]
-                cur = list(corner)
-                for axis in perm:
-                    cur[axis] += step
-                    path.append(tuple(cur))
-                verts, s = canonical(tuple(path))
-                tops.append((Simplex(verts), _perm_sign(perm) * s, cube))
-        tops.sort(key=lambda t: t[0].vertices)
+        # lattice points in lexicographic order; a point's position is linear
+        # in its coordinates, so v0 + offset sits at base + the offset's step.
+        # A shape fits at v0 unless its last offset steps along an axis on
+        # which v0 is already at n (the bits of `far`).
+        points = list(product(range(n + 1), repeat=d))
+        place = [(n + 1) ** (d - 1 - j) for j in range(d)]
+        far = [sum(1 << j for j, c in enumerate(p) if c == n) for p in points]
+        shapes, top_sign = _kuhn_shapes(d)
+        self._cells: dict[int, list] = {}
+        self._shape_of: dict[int, list] = {}
+        for k, kind in enumerate(shapes):
+            # (steps to each vertex, axes the last vertex moves along)
+            table = [(tuple(sum(c * w for c, w in zip(o, place)) for o in shape),
+                      sum(1 << j for j, c in enumerate(shape[-1]) if c))
+                     for shape in kind]
+            cells, shape_of = [], []
+            for base, blocked in enumerate(far):
+                for si, (steps, axes) in enumerate(table):
+                    if not blocked & axes:
+                        cells.append(tuple([points[base + s] for s in steps]))
+                        shape_of.append(si)
+            self._cells[k] = cells
+            self._shape_of[k] = shape_of
 
-        self._simplices: dict[int, tuple] = {d: tuple(t[0] for t in tops)}
-        self._top_orient = tuple(t[1] for t in tops)
-        cube_tops: dict[tuple, list] = {}
-        for i, t in enumerate(tops):
-            cube_tops.setdefault(t[2], []).append(i)
-        self._cube_tops = {c: tuple(ids) for c, ids in cube_tops.items()}
+        self._top_orient = tuple(top_sign[si] for si in self._shape_of[d])
 
-        for k in range(d - 1, -1, -1):
-            seen = set()
-            for s in self._simplices[k + 1]:
-                # any vertex subset of a Kuhn simplex is again a face
-                for sub in combinations(s.vertices, k + 1):
-                    seen.add(sub)
-            self._simplices[k] = tuple(Simplex(v) for v in sorted(seen))
-
-        self._index = {k: {s: i for i, s in enumerate(v)}
-                       for k, v in self._simplices.items()}
+        self._ids: dict[int, dict] = {}
+        self._fpoint = None
+        self._simplices: dict[int, tuple] = {}
+        self._index: dict[int, dict] = {}
+        self._cube_cells: dict[int, dict] = {}
         self._incidence: dict[int, tuple] = {}
         self._coboundary: dict[int, tuple] = {}
+
+    def _make(self, k: int) -> None:
+        """Build dimension k's Simplex objects and Simplex -> id index, with
+        squared volumes and volumes from one Gram determinant per shape."""
+        n = self.resolution
+        if self._fpoint is None:
+            coord = [Fraction(i, n) for i in range(n + 1)]
+            self._fpoint = {p: tuple([coord[c] for c in p])
+                            for p in product(range(n + 1), repeat=self.ambient_dim)}
+        point = self._fpoint.__getitem__
+        shape_vol = []
+        for shape in _kuhn_shapes(self.ambient_dim)[0][k]:
+            s = Simplex(tuple(map(point, shape)))
+            shape_vol.append((s.sq_volume(), s.volume()))
+        known = Simplex.with_volume
+        stored = tuple([known(tuple(map(point, cell)), *shape_vol[si])
+                        for cell, si in zip(self._cells[k], self._shape_of[k])])
+        self._simplices[k] = stored
+        self._index[k] = dict(zip(stored, range(len(stored))))
+
+    def _table(self, k: int):
+        """Dimension k's Simplex -> id index, or None when k is out of range."""
+        table = self._index.get(k)
+        if table is None and k in self._cells:
+            self._make(k)
+            table = self._index[k]
+        return table
 
     # -- enumeration ---------------------------------------------------------
 
     def count(self, k: int) -> int:
-        return len(self._simplices[k])
+        return len(self._cells[k])
 
     def simplices(self, k: int) -> tuple:
+        if k not in self._simplices:
+            self._make(k)
         return self._simplices[k]
 
     def simplex(self, k: int, i: int) -> Simplex:
-        return self._simplices[k][i]
+        return self.simplices(k)[i]
 
     def index_of(self, k: int, s: Simplex) -> int:
         try:
             return self._index[k][s]
         except KeyError:
-            raise GridError("simplex not on this complex: %r" % (s,))
+            table = self._table(k)
+            if table is not None and s in table:
+                return table[s]
+            raise GridError("simplex not on this complex: %r" % (s,)) from None
 
     def id_key(self, k: int):
         """Sort key giving a stored k-simplex its id, which orders simplices
         as their sorted vertex tuples do without comparing Fractions."""
-        return self._index[k].__getitem__
+        return self._table(k).__getitem__
 
     def intern(self, k: int, s: Simplex) -> Simplex:
         """The complex's own k-simplex object equal to s."""
-        return self._simplices[k][self.index_of(k, s)]
+        i = self.index_of(k, s)
+        return self._simplices[k][i]
 
     def contains(self, s: Simplex) -> bool:
-        table = self._index.get(s.dim)
+        table = self._table(s.dim)
         return table is not None and s in table
 
     def cubes(self):
         return product(*(range(self.resolution),) * self.ambient_dim)
 
     def tops_of_cube(self, cube) -> tuple:
-        return self._cube_tops[tuple(cube)]
+        return self.cells_of_cube(self.ambient_dim)[tuple(cube)]
+
+    def cells_of_cube(self, k: int) -> dict:
+        """Lattice cube -> ascending ids of the k-cells whose first point,
+        clipped to n - 1, is that cube's corner; for k = d, the d! top
+        cells of the cube."""
+        if k not in self._cube_cells:
+            top = self.resolution - 1
+            by_cube: dict[tuple, list] = {}
+            for i, cell in enumerate(self._cells[k]):
+                cube = tuple([c if c < top else top for c in cell[0]])
+                by_cube.setdefault(cube, []).append(i)
+            self._cube_cells[k] = {c: tuple(ids) for c, ids in by_cube.items()}
+        return self._cube_cells[k]
 
     # -- incidence -------------------------------------------------------------
 
@@ -129,12 +217,12 @@ class GridComplex:
         if k not in self._incidence:
             if not 1 <= k <= self.ambient_dim:
                 raise GridError("incidence defined for 1 <= k <= d")
-            rows = []
-            for s in self._simplices[k]:
-                row = tuple((self._index[k - 1][Simplex(fv)], sign)
-                            for fv, sign in faces(s.vertices))
-                rows.append(row)
-            self._incidence[k] = tuple(rows)
+            if k - 1 not in self._ids:
+                lower = self._cells[k - 1]
+                self._ids[k - 1] = dict(zip(lower, range(len(lower))))
+            ids = self._ids[k - 1]
+            self._incidence[k] = tuple([tuple([(ids[fv], sign) for fv, sign in faces(cell)])
+                                        for cell in self._cells[k]])
         return self._incidence[k]
 
     def coboundary(self, k: int) -> tuple:
@@ -152,7 +240,7 @@ class GridComplex:
     def validate_chain(self, chain) -> None:
         if chain.ambient_dim != self.ambient_dim:
             raise GridError("ambient dimension mismatch")
-        table = self._index.get(chain.dim)
+        table = self._table(chain.dim)
         if table is None:
             raise GridError("no %d-simplices on this complex" % chain.dim)
         for s in chain.terms:
@@ -183,7 +271,7 @@ class GridComplex:
                 by_id[i] = g
             else:
                 by_id.pop(i, None)
-        stored = self._simplices[k]
+        stored = self.simplices(k)
         return _chains.PolyChain(group, self.ambient_dim, k,
                                  {stored[i]: g for i, g in by_id.items()}, self)
 
@@ -205,7 +293,7 @@ class GridComplex:
     def cube_chain(self, group, cube, coeff=1) -> "_chains.PolyChain":
         """Positively oriented cell indicator: the d! tops of one cube."""
         return self.chain_from_ids(group, self.ambient_dim,
-                                   self.top_pairs(group, self._cube_tops[tuple(cube)], coeff))
+                                   self.top_pairs(group, self.tops_of_cube(cube), coeff))
 
     # -- geometry ------------------------------------------------------------------
 
@@ -241,6 +329,9 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
 
     Every term must be tiled exactly by target simplices; the tiling is
     verified by an exact volume identity per term.  Fails loudly otherwise.
+    A tile's first vertex lies in the term's bounding box, so the candidate
+    tiles are the target cells of the cubes that box's lattice points clip
+    to, visited in ascending id.
     """
     if chain.ambient_dim != target.ambient_dim:
         raise GridError("ambient dimension mismatch")
@@ -251,15 +342,23 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
         return target.chain_from_ids(group, k, [(target.index_of(k, s), c)
                                                 for s, c in chain.terms.items()])
     fine = target.simplices(k)
+    by_cube = target.cells_of_cube(k)
+    n = target.resolution
     pairs = []
     for sigma, coeff in chain.terms.items():
         if sigma.is_degenerate():
             raise GridError("cannot re-express a zero-volume term")
         lo, hi = sigma.bbox()
+        spans = []
+        for a, b in zip(lo, hi):
+            first, last = max(ceil(a * n), 0), min(floor(b * n), n)
+            spans.append(range(min(first, n - 1), min(last, n - 1) + 1) if first <= last else ())
+        candidates = sorted(i for cube in product(*spans) for i in by_cube[cube])
         hull = _hull_constraints(sigma)
         base = sigma.edges()
         covered = RadicalSum()
-        for i, t in enumerate(fine):
+        for i in candidates:
+            t = fine[i]
             tlo, thi = t.bbox()
             if any(a < b for a, b in zip(tlo, lo)) or any(a > b for a, b in zip(thi, hi)):
                 continue

@@ -188,8 +188,8 @@ def lift_top_optimal(chain: PolyChain):
 # loop cancellation (bounded ratio 1 for 1-chains)
 
 
-def _integral_boundary(chain: PolyChain) -> bool:
-    return all(c.denominator == 1 for c in chain.boundary().terms.values())
+def _integral_boundary(boundary: PolyChain) -> bool:
+    return all(c.denominator == 1 for c in boundary.terms.values())
 
 
 def _find_cycle(frac_terms):
@@ -246,10 +246,11 @@ def loop_cancel(chain: PolyChain):
         raise LiftError("loop cancellation expects real coefficients")
     if chain.dim != 1:
         raise LiftError("loop cancellation is a 1-chain operation")
-    if not _integral_boundary(chain):
+    boundary = chain.boundary()
+    if not _integral_boundary(boundary):
         raise LiftError("boundary multiplicities are not integers")
     in_mass = chain.mass_exact()
-    current = chain
+    current, current_mass = chain, in_mass
     passes = 0
     limit = len(chain.terms) + 1
     while True:
@@ -285,13 +286,14 @@ def loop_cancel(chain: PolyChain):
                                 [(s.vertices, theta * direction) for s, direction in edges],
                                 complex=current.complex)
         updated = current - delta
-        if (updated.mass_exact() - current.mass_exact()).sign() > 0:
+        updated_mass = updated.mass_exact()
+        if (updated_mass - current_mass).sign() > 0:
             raise LiftError("loop subtraction increased mass")
-        current = updated
+        current, current_mass = updated, updated_mass
         passes += 1
-    if current.boundary() != chain.boundary():
+    if current.boundary() != boundary:
         raise LiftError("loop cancellation changed the boundary")
-    if (current.mass_exact() - in_mass).sign() > 0:
+    if (current_mass - in_mass).sign() > 0:
         raise LiftError("loop cancellation increased mass")
     return current, LiftReport(route="loop", d_used=1, guaranteed_ratio=1.0, passes=passes)
 

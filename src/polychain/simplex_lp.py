@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .geometry import gauss_jordan
 from .radicals import RadicalSum
 
@@ -48,9 +46,11 @@ def solve_float(a, b, c):
     """Returns (x, objective) for min c.x, a x = b, x >= 0, where `a` is a
     dense 2-D array; HiGHS's dual simplex solves it on a sparse copy.
 
-    scipy is imported here, not at module level: importing scipy.optimize
-    costs far more than a small solve, and most callers never solve an LP.
+    numpy and scipy are imported here, not at module level: importing them
+    costs far more than a small solve, and most callers never solve an LP,
+    so `import polychain` and every command but `flatnorm` load neither.
     """
+    import numpy as np
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
 

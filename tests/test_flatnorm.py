@@ -254,3 +254,23 @@ def test_import_does_not_load_the_lp_solver():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_commands_without_an_lp_load_neither_numpy_nor_scipy(tmp_path):
+    path = str(tmp_path / "top.json")
+    src = os.path.dirname(os.path.dirname(polychain.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import polychain.cli as cli",
+        "from polychain import REAL, chainfile, flat_norm, gen, grid_complex",
+        "chainfile.save_chain(gen.random_circle_top(3, 2, 3), %r)" % path,
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['lift', %r]) == 0" % path,
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))",
+        "w = flat_norm(grid_complex(2, 1).full_chain(REAL).boundary())",
+        "print(w.value, 'numpy' in sys.modules)",  # the unit square fills with area 1
+    ])
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.split("\n")[:2] == ["[]", "1.0 True"]

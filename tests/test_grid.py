@@ -1,6 +1,7 @@
 """Kuhn grid complexes: frozen counts, incidence, exact re-embedding."""
 
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -8,9 +9,10 @@ from polychain import geometry, grid
 from polychain.approx import shrink_toward
 from polychain.chains import PolyChain
 from polychain.gen import random_chain, random_grid_function
-from polychain.geometry import Simplex
-from polychain.grid import GridError, embed_on, grid_complex
+from polychain.geometry import Simplex, canonical, faces
+from polychain.grid import GridComplex, GridError, embed_on, grid_complex
 from polychain.groups import CIRCLE, INTEGER, REAL, modp
+from polychain.radicals import RadicalSum
 
 F = Fraction
 
@@ -272,6 +274,55 @@ def test_embed_on_matches_brute_force_reference():
         assert all(s is _stored(fine, chain.dim, s) for s in got.terms)
 
 
+def _full_scan_embed(target, chain):
+    """embed_on as a scan of every target k-cell per term: the (id, coeff)
+    pairs in the order the scan finds them."""
+    group, k = chain.group, chain.dim
+    pairs = []
+    for sigma, coeff in chain.terms.items():
+        lo, hi = sigma.bbox()
+        hull = geometry._hull_constraints(sigma)
+        base = sigma.edges()
+        covered = RadicalSum()
+        for i, t in enumerate(target.simplices(k)):
+            tlo, thi = t.bbox()
+            if any(a < b for a, b in zip(tlo, lo)) or any(a > b for a, b in zip(thi, hi)):
+                continue
+            if not geometry.simplex_in_simplex(t, sigma, hull):
+                continue
+            rel = geometry.det([[sum(a * b for a, b in zip(e, f)) for f in base]
+                                for e in t.edges()])
+            pairs.append((i, coeff if rel > 0 else group.neg(coeff)))
+            covered = covered + t.volume()
+        assert (covered - sigma.volume()).is_zero()
+    return pairs
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("ratio", [2, 3, 4])
+def test_embed_on_candidates_match_a_full_scan(d, n, ratio, monkeypatch):
+    fine = grid_complex(d, n * ratio)
+    cases = [random_chain(seed, d, n, k, terms=3) for seed in range(2) for k in range(1, d + 1)]
+    # free chains, halved toward the origin: they land on even refinements
+    if ratio % 2 == 0:
+        for seed in (2, 3):
+            for k in range(1, d + 1):
+                ch = random_chain(seed, d, n, k, terms=3)
+                cases.append(PolyChain.build(ch.group, d, k, [
+                    (tuple(tuple(c / 2 for c in v) for v in s.vertices), coeff)
+                    for s, coeff in ch.terms.items()]))
+    for chain in cases:
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(GridComplex, "chain_from_ids",
+                      lambda self, group, k, pairs: seen.append(list(pairs)))
+            embed_on(fine, chain)
+        assert seen == [_full_scan_embed(fine, chain)]
+        want = fine.chain_from_ids(chain.group, chain.dim, seen[0])
+        got = embed_on(fine, chain)
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
 def _built_on(cx, group, k, pairs):
     """The same cells through vertex tuples: PolyChain.build on the complex."""
     return PolyChain.build(group, cx.ambient_dim, k,
@@ -329,3 +380,100 @@ def test_complex_chains_sort_by_id_as_by_vertices():
             by_vertices = sorted(ch.terms.items(), key=lambda kv: kv[0].vertices)
             assert ch.items_sorted() == by_vertices
             assert ch.support() == [s for s, _ in by_vertices]
+
+
+def _reference_complex(d, n):
+    """The Kuhn complex built from Fraction vertices: one Simplex per top
+    path, sorted by vertices, lower cells from vertex subsets, incidence by
+    Simplex lookup and a Gram determinant per cell.  Returns (simplices per
+    k, top orientations, cube -> top ids, incidence per k)."""
+    step = F(1, n)
+    tops = []
+    for cube in product(range(n), repeat=d):
+        corner = tuple(step * c for c in cube)
+        for perm in permutations(range(d)):
+            path = [corner]
+            cur = list(corner)
+            for axis in perm:
+                cur[axis] += step
+                path.append(tuple(cur))
+            verts, sign = canonical(tuple(path))
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            tops.append((Simplex(verts), (-1) ** inversions * sign, cube))
+    tops.sort(key=lambda t: t[0].vertices)
+    simplices = {d: tuple(t[0] for t in tops)}
+    cube_tops = {}
+    for i, t in enumerate(tops):
+        cube_tops.setdefault(t[2], []).append(i)
+    for k in range(d - 1, -1, -1):
+        seen = set()
+        for s in simplices[k + 1]:
+            for sub in combinations(s.vertices, k + 1):
+                seen.add(sub)
+        simplices[k] = tuple(Simplex(v) for v in sorted(seen))
+    index = {k: {s: i for i, s in enumerate(v)} for k, v in simplices.items()}
+    incidence = {k: tuple(tuple((index[k - 1][Simplex(fv)], sign) for fv, sign in faces(s.vertices))
+                          for s in simplices[k])
+                 for k in range(1, d + 1)}
+    return (simplices, tuple(t[1] for t in tops),
+            {c: tuple(ids) for c, ids in cube_tops.items()}, incidence)
+
+
+REFERENCE_GRIDS = [(d, n) for d in (1, 2, 3) for n in (1, 2, 3, 4)] + [(2, 20), (3, 6)]
+
+
+@pytest.mark.parametrize("d,n", REFERENCE_GRIDS)
+def test_closed_form_complex_matches_the_fraction_construction(d, n):
+    cx = GridComplex(d, n)
+    simplices, top_orient, cube_tops, incidence = _reference_complex(d, n)
+    assert cx._top_orient == top_orient
+    assert cx.cells_of_cube(d) == cube_tops
+    assert all(cx.tops_of_cube(c) == ids for c, ids in cube_tops.items())
+    for k in range(d + 1):
+        ref = simplices[k]
+        assert cx.count(k) == len(ref)
+        # the integer cells are the reference vertices times n
+        assert [tuple(tuple(F(c, n) for c in p) for p in cell) for cell in cx._cells[k]] \
+            == [s.vertices for s in ref]
+        got = cx.simplices(k)
+        assert [s.vertices for s in got] == [s.vertices for s in ref]
+        assert all(s._hash == hash(s.vertices) for s in got)
+        assert [cx.index_of(k, s) for s in ref] == list(range(len(ref)))
+        assert all(cx.contains(s) and cx.intern(k, s) is got[i] for i, s in enumerate(ref))
+        # shape-table volumes against a Gram determinant per cell
+        assert [s.sq_volume() for s in got] == [s.sq_volume() for s in ref]
+        assert [s.volume().terms for s in got] == [s.volume().terms for s in ref]
+        if k:
+            assert cx.incidence(k) == incidence[k]
+        if k < d:
+            cols = [[] for _ in ref]
+            for parent, row in enumerate(incidence[k + 1]):
+                for face, sign in row:
+                    cols[face].append((parent, sign))
+            assert cx.coboundary(k) == tuple(tuple(c) for c in cols)
+
+
+def test_lookups_refuse_vertices_off_the_lattice():
+    cx = GridComplex(2, 2)
+    half, third = F(1, 2), F(1, 3)
+    off = [
+        Simplex([(third, 0)]),                       # non-integral on the n=2 lattice
+        Simplex([(0, 0), (half, third)]),
+        Simplex([(F(3, 2), 0)]),                     # out of the box
+        Simplex([(0, 0), (-half, 0)]),
+        Simplex([(0, 0), (1, 1)]),                   # lattice points, not a cell
+        Simplex([(half, 0), (0, half)]),             # the other diagonal
+        Simplex([(0, 0), (half, 0), (1, 0)]),        # collinear lattice points
+    ]
+    for s in off:
+        assert not cx.contains(s)
+        with pytest.raises(GridError):
+            cx.index_of(s.dim, s)
+        with pytest.raises(GridError):
+            cx.intern(s.dim, s)
+    cell = cx.simplex(1, 3)
+    with pytest.raises(GridError):
+        cx.index_of(2, cell)                         # a 1-cell asked for as a 2-cell
+    with pytest.raises(GridError):
+        cx.index_of(3, cell)                         # no 3-cells in R^2
+    assert not cx.contains(Simplex([(0, 0, 0)]))     # another ambient dimension

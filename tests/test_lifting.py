@@ -180,6 +180,29 @@ def test_loop_cancel_contract_on_seeded_chains():
         assert report.passes <= len(ch.terms) + 1
 
 
+def test_loop_cancel_computes_each_mass_and_boundary_once(monkeypatch):
+    mass_exact, boundary = PolyChain.mass_exact, PolyChain.boundary
+    for seed in range(6):
+        ch = random_integral_boundary_chain(seed, 2, 3, 1)
+        calls = {"mass": 0, "boundary": 0}
+
+        def counting_mass(self):
+            calls["mass"] += 1
+            return mass_exact(self)
+
+        def counting_boundary(self):
+            calls["boundary"] += 1
+            return boundary(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(PolyChain, "mass_exact", counting_mass)
+            m.setattr(PolyChain, "boundary", counting_boundary)
+            out, report = loop_cancel(ch)
+        assert out.boundary() == ch.boundary() and report.passes >= 1
+        # the input's mass, then one per pass; the input's boundary, then the output's
+        assert calls == {"mass": report.passes + 1, "boundary": 2}
+
+
 def test_loop_cancel_rejects_bad_inputs():
     cx = grid_complex(2, 1)
     verts = ((F(0), F(0)), (F(1), F(0)))
