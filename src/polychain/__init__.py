@@ -15,8 +15,7 @@ from .approx import (ApproxBudget, ApproxError, StageReport, cycle_extension,
 from .chainfile import (ChainFileError, emit_chain, emit_grid_function,
                         load_chain, load_grid_function, parse_chain,
                         parse_grid_function, save_chain, save_grid_function)
-from .chains import (ChainError, MassMeasure, PolyChain, cone, prism,
-                     pushforward, subdivide)
+from .chains import ChainError, PolyChain, cone, prism, pushforward, subdivide
 from .coarea import (CoareaReport, GridFunction, LevelSlice,
                      function_boundary, level_slices, verify_coarea)
 from .flatnorm import (CertificateError, FlatWitness, flat_distance,
@@ -40,8 +39,7 @@ __all__ = [
     "ChainFileError", "emit_chain", "emit_grid_function", "load_chain",
     "load_grid_function", "parse_chain", "parse_grid_function", "save_chain",
     "save_grid_function",
-    "ChainError", "MassMeasure", "PolyChain", "cone", "prism", "pushforward",
-    "subdivide",
+    "ChainError", "PolyChain", "cone", "prism", "pushforward", "subdivide",
     "CoareaReport", "GridFunction", "LevelSlice", "function_boundary",
     "level_slices", "verify_coarea",
     "CertificateError", "FlatWitness", "flat_distance", "flat_norm",

@@ -3,9 +3,11 @@ singular position, iterative disjoint representatives, cycle extension,
 and telescoping of flat-Cauchy families.
 
 Everything here returns exact chain identities plus explicit residual
-budgets; nothing is silently approximate.  Each stage moves the chain by
-g = tau o f, a shrink f toward the box center followed by a translation
-tau off the reference carriers, and decomposes it as
+budgets; nothing is silently approximate.  The only maps used are scalings
+toward a point and translations (`geometry.AffineMap`).  Each stage moves
+the chain by g = tau o f, a shrink f toward the box center followed by a
+translation tau off the reference carriers (`singular_translate`), and
+decomposes it as
 
     X = P + R + boundary(S)
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .chains import ChainError, MassMeasure, PolyChain, prism, pushforward
+from .chains import ChainError, PolyChain, prism, pushforward
 from .flatnorm import flat_norm, _replay_ok
 from .geometry import AffineMap, Simplex, is_tangent, overlap_dim_at_least
 from .grid import embed_on, grid_complex
@@ -61,11 +63,6 @@ class StageRecord:
 class StageReport:
     stages: list = field(default_factory=list)
     epsilon_terminal: RadicalSum = field(default_factory=RadicalSum)
-    identity_checked: bool = False
-
-    @property
-    def stage_count(self) -> int:
-        return len(self.stages)
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +161,22 @@ def _pick_direction(moving):
     raise ApproxError("no usable translation direction in the lattice")
 
 
-def _singular_translate(chain: PolyChain, carriers, t_max: Fraction):
-    """Move the chain so every moving simplex meets every carrier in
-    dimension < k.  Returns (moved chain, direction, shift)."""
+def singular_translate(chain: PolyChain, carriers, t_max):
+    """Translate the chain along a lattice direction tangent to none of its
+    simplices, by t_max halved until every moved simplex meets every
+    carrier simplex in dimension < k.  Mass is unchanged (translation is
+    an isometry).  Returns (moved chain, direction, shift), with direction
+    None and the chain unmoved when there is nothing to separate."""
     k = chain.dim
+    if k >= chain.ambient_dim:
+        raise ApproxError("translation singularization needs k < d")
+    t_max = Fraction(t_max)
+    if t_max <= 0:
+        raise ApproxError("translation budget must be positive")
     carriers = [s for s in carriers if not s.is_degenerate()]
     moving = [s for s in chain.terms if not s.is_degenerate()]
     if not carriers or not moving:
         return chain, None, Fraction(0)
-    t_max = Fraction(t_max)
-    if t_max <= 0:
-        raise ApproxError("translation budget must be positive")
     v = _pick_direction(moving)
     t = t_max
     for _ in range(64):
@@ -186,17 +188,6 @@ def _singular_translate(chain: PolyChain, carriers, t_max: Fraction):
             return pushforward(chain, tau), v, t
         t = t / 2
     raise ApproxError("could not certify singular position")
-
-
-def singular_translate(chain: PolyChain, reference: MassMeasure, t_max) -> PolyChain:
-    """Translate along a lattice direction not tangent to any simplex of
-    the chain until its support crosses the reference carriers only in
-    dimension < k.  Mass is unchanged (translation is an isometry)."""
-    if chain.dim >= chain.ambient_dim:
-        raise ApproxError("translation singularization needs k < d")
-    carriers = [s for s, w in reference.entries if not w.is_zero()]
-    moved, _, _ = _singular_translate(chain, carriers, Fraction(t_max))
-    return moved
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +218,6 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
     total = chain.mass_exact()
     report = StageReport()
     if chain.is_zero():
-        report.identity_checked = True
         return chain, report
 
     center = _box_center(chain.complex)
@@ -257,7 +247,7 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
             lam = 1 - one_minus
             f = AffineMap.homothety(center, lam)
             y = pushforward(x, f)
-            piece, direction, shift = _singular_translate(
+            piece, direction, shift = singular_translate(
                 y, carriers, one_minus / 4)
             g = f if direction is None else \
                 AffineMap.translation(tuple(shift * c for c in direction)).compose(f)
@@ -289,7 +279,6 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
     if k >= 1 and r.boundary() != chain.boundary():
         raise ApproxError("boundary of the representative failed to replay")
     report.epsilon_terminal = x.mass_exact()
-    report.identity_checked = True
     return r, report
 
 

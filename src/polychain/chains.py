@@ -22,7 +22,6 @@ complex's incidence table instead of being built from vertex tuples.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry
@@ -219,13 +218,6 @@ class PolyChain:
     def mass(self) -> float:
         return float(self.mass_exact())
 
-    def mass_measure(self) -> "MassMeasure":
-        entries = [(s, s.volume() * self.group.norm(c)) for s, c in self.items_sorted()]
-        total = RadicalSum()
-        for _, w in entries:
-            total = total + w
-        return MassMeasure(entries=entries, total=total)
-
     # -- restriction -----------------------------------------------------------
 
     def restrict(self, keep) -> "PolyChain":
@@ -242,21 +234,6 @@ class PolyChain:
                 keep_set.add(Simplex(canonical(item)[0]))
         terms = {s: c for s, c in self.terms.items() if s in keep_set}
         return PolyChain(self.group, self.ambient_dim, self.dim, terms, self.complex)
-
-
-@dataclass
-class MassMeasure:
-    """Per-simplex mass weights plus the total (all exact)."""
-    entries: list
-    total: RadicalSum
-
-    def restrict(self, simplices) -> RadicalSum:
-        keep = set(simplices)
-        out = RadicalSum()
-        for s, w in self.entries:
-            if s in keep:
-                out = out + w
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +346,8 @@ def _reference_subdivision(k: int):
 _SUBDIV_CACHE: dict[int, list] = {}
 
 
-def subdivide(chain: PolyChain, rule: str = "midpoint") -> PolyChain:
+def subdivide(chain: PolyChain) -> PolyChain:
     """Midpoint refinement; free chains only (output is soup)."""
-    if rule != "midpoint":
-        raise ChainError("unknown subdivision rule %r" % rule)
     if chain.complex is not None:
         raise ChainError("subdivide acts on free chains; drop the complex first")
     k = chain.dim

@@ -159,7 +159,7 @@ def _cmd_lift(args, chain, rep):
     if chain.group is not CIRCLE:
         raise LiftError("lift: input must have circle coefficients, got %s"
                         % chain.group.tag)
-    in_mass = _chain_summary(rep, "input", chain)
+    _chain_summary(rep, "input", chain)
     if chain.dim == chain.ambient_dim:
         if args.theta is not None:
             theta = _fraction_arg(args.theta, "--theta")
@@ -169,14 +169,13 @@ def _cmd_lift(args, chain, rep):
             rep.add("profile_integral", profile.integral)
         rep.add("route", "top-threshold")
         rep.add("theta", theta)
-        out_mass = _chain_summary(rep, "lifted", lifted)
+        _chain_summary(rep, "lifted", lifted)
+        rep.bound("mass_ratio_le_3", True)  # checked by lift_top_threshold
         if args.theta is not None:
-            rep.bound("mass_ratio_le_3", (out_mass - in_mass * 3).sign() <= 0)
             rep.add("boundary_mass_exact", lifted.boundary().mass_exact())
         else:
-            # lift_top_optimal checked all three bounds; the profile's
+            # lift_top_optimal checked the other two bounds; the profile's
             # minimum is the boundary mass of this lift
-            rep.bound("mass_ratio_le_3", True)
             rep.add("boundary_mass_exact", profile.minimum[1])
             rep.bound("boundary_ratio_le_5", True)
             rep.bound("profile_integral_le_5_2", True)

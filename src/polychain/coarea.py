@@ -50,18 +50,6 @@ class GridFunction:
     def complex(self):
         return grid_complex(self.ambient_dim, self.resolution)
 
-    def cell_index(self, cube) -> int:
-        idx = 0
-        for c in cube:
-            idx = idx * self.resolution + c
-        return idx
-
-    def value(self, cube) -> Fraction:
-        return self.values[self.cell_index(cube)]
-
-    def distinct_values(self):
-        return sorted(set(self.values))
-
     def to_chain(self, group=REAL) -> PolyChain:
         """The function as a top-dimensional chain: each cell contributes
         its value on the cell's positively oriented simplices."""
@@ -105,7 +93,7 @@ def level_slices(u: GridFunction) -> list:
     Intervals above zero use super-level regions {u >= t_high}; intervals
     below zero use the negated boundary of sub-level regions {u <= t_low},
     which represents the same level boundary with a finite region."""
-    thresholds = sorted(set(u.distinct_values()) | {Fraction(0)})
+    thresholds = sorted(set(u.values) | {Fraction(0)})
     slices = []
     for lo, hi in zip(thresholds, thresholds[1:]):
         if lo >= 0:

@@ -49,9 +49,6 @@ class FlatWitness:
     residual: PolyChain
     filling: PolyChain
 
-    def mass_exact(self) -> RadicalSum:
-        return self.residual.mass_exact() + self.filling.mass_exact()
-
 
 def _require_real(chain: PolyChain):
     if chain.complex is None:

@@ -8,9 +8,12 @@ of the sorting permutation into a sign so chains can store sorted tuples.
 Tangency and overlap predicates are decided exactly with small rational
 linear algebra (row reduction, vertex enumeration of intersection
 polytopes); no floating point is involved.  All of that linear algebra,
-and the LP module's basis solves, use one elimination kernel:
-`gauss_jordan`, of which `mat_rank`, `solve_linear` and `det` are thin
-wrappers.
+and the basis solves of the LP certificate (`simplex_lp.check_certificate`,
+through `solve_linear`), use one elimination kernel: `gauss_jordan`, of
+which `mat_rank`, `solve_linear` and `det` are thin wrappers.
+
+`AffineMap` is the scalar map x -> r*x + b, the only kind the
+approximation pipeline moves chains by.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ Vertices = tuple  # tuple[Point, ...]
 
 def gauss_jordan(rows, ncols=None):
     """Gauss-Jordan reduction over Q: the one elimination kernel behind
-    mat_rank, solve_linear, det and simplex_lp.solve_square.
+    mat_rank, solve_linear and det.
 
     `rows` is copied, never changed.  Pivots are taken in the leading
     `ncols` columns (all columns by default), which hold Fractions; later
@@ -254,68 +257,45 @@ def faces(vertices):
 
 
 class AffineMap:
-    """x -> A x + b with exact rational entries.
+    """x -> r*x + b with exact rational r and b: the identity, homotheties,
+    translations and their composites, the only maps the pipeline builds."""
 
-    When A = r*I (the identity, homotheties, translations and their
-    composites, the only maps the pipeline builds) `scale` holds r and a
-    point is mapped coordinate by coordinate; otherwise `scale` is None and
-    the full matrix product is used."""
+    __slots__ = ("scale", "shift")
 
-    __slots__ = ("matrix", "shift", "scale")
-
-    def __init__(self, matrix, shift):
-        self.matrix = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+    def __init__(self, scale, shift):
+        self.scale = Fraction(scale)
         self.shift = as_point(shift)
-        d = len(self.matrix)
-        r = self.matrix[0][0] if d else Fraction(1)
-        scalar = all(len(row) == d for row in self.matrix) and all(
-            a == (r if i == j else 0)
-            for i, row in enumerate(self.matrix) for j, a in enumerate(row))
-        self.scale = r if scalar else None
-
-    @classmethod
-    def scalar(cls, ratio, shift) -> "AffineMap":
-        """x -> ratio*x + shift."""
-        d = len(shift)
-        return cls([[ratio if i == j else 0 for j in range(d)] for i in range(d)], shift)
 
     @classmethod
     def identity(cls, d: int) -> "AffineMap":
-        return cls.scalar(1, [0] * d)
+        return cls(1, [0] * d)
 
     @classmethod
     def translation(cls, vec) -> "AffineMap":
-        return cls.scalar(1, vec)
+        return cls(1, vec)
 
     @classmethod
     def homothety(cls, center, ratio) -> "AffineMap":
         # x -> center + ratio*(x - center)
         r = Fraction(ratio)
-        return cls.scalar(r, tuple(c * (1 - r) for c in as_point(center)))
+        return cls(r, tuple(c * (1 - r) for c in as_point(center)))
 
     def compose(self, inner: "AffineMap") -> "AffineMap":
         """The map x -> self(inner(x))."""
-        if self.scale is not None and inner.scale is not None:
-            return AffineMap.scalar(self.scale * inner.scale, self(inner.shift))
-        matrix = [[sum(a * b for a, b in zip(row, col)) for col in zip(*inner.matrix)]
-                  for row in self.matrix]
-        return AffineMap(matrix, self(inner.shift))
+        return AffineMap(self.scale * inner.scale, self(inner.shift))
 
     def __call__(self, point) -> Point:
         p = as_point(point)
         r = self.scale
         if r == 1:
             return tuple(x + s for x, s in zip(p, self.shift))
-        if r is not None:
-            return tuple(r * x + s for x, s in zip(p, self.shift))
-        return tuple(sum(a * x for a, x in zip(row, p)) + s
-                     for row, s in zip(self.matrix, self.shift))
+        return tuple(r * x + s for x, s in zip(p, self.shift))
 
     def apply_vertices(self, vertices) -> Vertices:
         return tuple(self(v) for v in vertices)
 
     def __repr__(self):
-        return "AffineMap(%r, %r)" % (self.matrix, self.shift)
+        return "AffineMap(%r, %r)" % (self.scale, self.shift)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,8 @@ def _require_top(chain: PolyChain):
 
 
 def lift_top_threshold(chain: PolyChain, theta) -> PolyChain:
-    """Lift coefficients by g -> g if g <= theta else g - 1."""
+    """Lift coefficients by g -> g if g <= theta else g - 1.  Verifies
+    exactly that mass(lift) <= 3 mass(chain)."""
     _require_top(chain)
     theta = Fraction(theta)
     if not Fraction(1, 4) < theta < Fraction(3, 4):
@@ -102,7 +103,10 @@ def lift_top_threshold(chain: PolyChain, theta) -> PolyChain:
             raise LiftError("threshold collides with a coefficient; "
                             "use an interval midpoint")
         terms[s] = c if c < theta else c - 1
-    return PolyChain(REAL, chain.ambient_dim, chain.dim, terms, chain.complex)
+    lifted = PolyChain(REAL, chain.ambient_dim, chain.dim, terms, chain.complex)
+    if (lifted.mass_exact() - chain.mass_exact() * 3).sign() > 0:
+        raise LiftError("mass bound 3x violated")
+    return lifted
 
 
 def threshold_profile(chain: PolyChain) -> ThresholdProfile:
@@ -167,15 +171,13 @@ def threshold_profile(chain: PolyChain) -> ThresholdProfile:
 def lift_top_optimal(chain: PolyChain):
     """Scan the threshold profile and lift at the best threshold.
 
-    Returns (theta, lifted chain, profile).  Verifies exactly that
-    mass(lift) <= 3 mass(chain), that the profile integral is at most
+    Returns (theta, lifted chain, profile).  Verifies exactly, besides
+    lift_top_threshold's mass bound, that the profile integral is at most
     (5/2) mass(boundary), and that the chosen boundary mass is at most
     5 mass(boundary)."""
     profile = threshold_profile(chain)
     theta, boundary_mass = profile.minimum
     lifted = lift_top_threshold(chain, theta)
-    if (lifted.mass_exact() - chain.mass_exact() * 3).sign() > 0:
-        raise LiftError("mass bound 3x violated")
     b_mass = chain.boundary().mass_exact()
     if (profile.integral - b_mass * Fraction(5, 2)).sign() > 0:
         raise LiftError("profile integral bound (5/2)x violated")
@@ -375,7 +377,8 @@ def br_correct(chain: PolyChain, route: str = "auto"):
         if k != d - 1:
             raise LiftError("fill route needs k = d - 1")
         projected = project_chain(chain)
-        if not project_chain(chain.boundary()).is_zero():
+        boundary = chain.boundary()
+        if not project_chain(boundary).is_zero():
             raise LiftError("boundary does not project to zero")
         if projected.is_zero():
             return chain, 6
@@ -384,7 +387,7 @@ def br_correct(chain: PolyChain, route: str = "auto"):
         corrected = chain - lifted_fill.boundary()
         if not project_chain(corrected).is_zero():
             raise LiftError("correction left fractional coefficients")
-        if corrected.boundary() != chain.boundary():
+        if corrected.boundary() != boundary:
             raise LiftError("correction changed the boundary")
         if (corrected.mass_exact() - chain.mass_exact() * 6).sign() > 0:
             raise LiftError("mass ratio 6 violated")

@@ -16,14 +16,15 @@ Two independent routes:
 
 ``check_certificate`` re-derives optimality of a basis from the raw data
 (basic solution feasible, all reduced costs nonnegative) without reusing
-any solver state; it is the referee between the two routes.
+any solver state; it is the referee between the two routes.  Its primal
+and dual basis solves go through ``geometry.solve_linear``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import gauss_jordan
+from .geometry import solve_linear
 from .radicals import RadicalSum
 
 
@@ -140,17 +141,6 @@ def solve_exact(a_rows, b, c, basis):
     return x, obj, basis
 
 
-def solve_square(a_rows, rhs):
-    """Solve a square Fraction system by the geometry elimination kernel;
-    rhs entries form a vector space over Q (Fractions or RadicalSums).
-    Raises LPError if singular."""
-    n = len(a_rows)
-    reduced, pivots, _ = gauss_jordan([list(row) + [v] for row, v in zip(a_rows, rhs)], n)
-    if len(pivots) < n:
-        raise LPError("singular basis matrix")
-    return [row[n] for row in reduced]
-
-
 def check_certificate(a_rows, b, c, basis) -> bool:
     """Independent exact optimality proof for a basis of min c.x, Ax=b, x>=0.
 
@@ -164,14 +154,12 @@ def check_certificate(a_rows, b, c, basis) -> bool:
         return False
     c = [_rad(v) for v in c]
     bmat = [[a_rows[i][j] for j in basis] for i in range(m)]
-    try:
-        xb = solve_square(bmat, [Fraction(v) for v in b])
-    except LPError:
-        return False
-    if any(v < 0 for v in xb):
+    primal = solve_linear(bmat, [Fraction(v) for v in b])
+    # a singular basis matrix, or an infeasible basic solution
+    if primal is None or primal[1] or any(v < 0 for v in primal[0]):
         return False
     bt = [[bmat[i][j] for i in range(m)] for j in range(m)]
-    y = solve_square(bt, [c[j] for j in basis])
+    y = solve_linear(bt, [c[j] for j in basis])[0]
     for j in range(n):
         reduced = c[j]
         for i in range(m):

@@ -189,13 +189,15 @@ def test_complex_membership_is_enforced():
         PolyChain.build(REAL, 2, 1, [seg(pt(0, 0), pt(F(1, 3), 0))], complex=cx)
 
 
-def test_mass_measure_restriction():
+def test_restrict_mass_is_additive():
     ch = build([seg(pt(0, 0), pt(1, 0)), seg(pt(1, 0), pt(1, 1), F(1, 2))])
-    mm = ch.mass_measure()
-    some = [s for s, _ in mm.entries][:1]
+    some, rest = ch.support()[:1], ch.support()[1:]
     restricted = ch.restrict(some)
     assert len(restricted) == 1
-    assert (restricted.mass_exact() - mm.restrict(some)).is_zero()
+    s = some[0]
+    assert (restricted.mass_exact() - s.volume() * ch.terms[s]).is_zero()
+    assert (restricted.mass_exact() + ch.restrict(rest).mass_exact()
+            - ch.mass_exact()).is_zero()
 
 
 def test_restrict_accepts_carriers_in_either_vertex_order():

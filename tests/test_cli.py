@@ -248,9 +248,10 @@ def test_chain_summary_computes_each_mass_once(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_does_not_recompute_bounds_the_library_checked(tmp_path, capsys, monkeypatch):
-    # lift_top_optimal, loop_cancel and br_correct check every bound these
-    # commands report, so cli.py computes masses only to report each chain,
-    # once per chain; the --theta route checks its own bounds here
+    # lift_top_threshold, lift_top_optimal, loop_cancel and br_correct check
+    # every bound these commands report, so cli.py computes masses only to
+    # report each chain, once per chain; the --theta route also reports the
+    # lift's boundary mass here
     calls = []
     for name in ("mass_exact", "boundary"):
         def counted(self, _original=getattr(PolyChain, name), _name=name):
@@ -281,6 +282,16 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "gen", "chain", "--grid", "2,2")[0] == 2  # missing --out
     assert run(capsys, "--help")[0] == 0
+
+
+def test_gen_refuses_a_chain_dimension_outside_the_grid(tmp_path, capsys):
+    for dim in ("5", "-1"):
+        code, out, err = run(capsys, "gen", "chain", "--grid", "2,3", "--dim", dim,
+                             "--out", str(tmp_path / "a.json"))
+        assert code == 2
+        assert out == ""
+        assert err == "error [gen]: chains need 0 <= k <= d\n"
+    assert not (tmp_path / "a.json").exists()
 
 
 def test_gen_is_deterministic_per_seed(tmp_path, capsys):

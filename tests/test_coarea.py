@@ -8,7 +8,8 @@ from polychain.coarea import (GridFunction, function_boundary, level_slices,
                               verify_coarea)
 from polychain.gen import random_grid_function
 from polychain.grid import GridError
-from polychain.groups import INTEGER
+from polychain.chains import PolyChain
+from polychain.groups import INTEGER, REAL
 
 F = Fraction
 
@@ -25,10 +26,11 @@ def test_build_validates_cell_count():
 
 def test_cell_indexing_is_row_major_first_axis_slowest():
     u = GridFunction.build(2, 2, (10, 11, 12, 13))
-    assert u.value((0, 0)) == 10
-    assert u.value((0, 1)) == 11
-    assert u.value((1, 0)) == 12
-    assert u.value((1, 1)) == 13
+    cx = u.complex
+    cells = {(0, 0): 10, (0, 1): 11, (1, 0): 12, (1, 1): 13}
+    expected = sum((cx.cube_chain(REAL, cube, v) for cube, v in cells.items()),
+                   PolyChain.zero(REAL, 2, 2, complex=cx))
+    assert u.to_chain() == expected
 
 
 def test_checkerboard_boundary_mass():

@@ -11,7 +11,7 @@ from polychain.geometry import (AffineMap, GeometryError, Simplex, canonical,
                                 overlap_dim_at_least, point_in_simplex,
                                 simplex_in_simplex, solve_linear)
 from polychain.radicals import RadicalSum
-from polychain.simplex_lp import LPError, solve_square
+from polychain.simplex_lp import check_certificate
 
 F = Fraction
 
@@ -113,7 +113,7 @@ def test_elimination_agrees_with_sympy():
                 assert all(v == 0 for v in ref * as_sympy(null).T)
 
 
-def test_solve_square_with_radical_right_hand_sides():
+def test_solve_linear_with_radical_right_hand_sides():
     rng = Random(7)
     radicands = (1, 2, 3)
     for n in (1, 2, 3, 5):
@@ -126,11 +126,16 @@ def test_solve_square_with_radical_right_hand_sides():
         def combine(vectors):
             return [sum((RadicalSum.sqrt_rational(r) * vectors[r][i] for r in radicands),
                         RadicalSum()) for i in range(n)]
-        solved = {r: solve_square(a, parts[r]) for r in radicands}
+        solved = {r: solve_linear(a, parts[r]) for r in radicands}
+        assert all(null == [] for _, null in solved.values())
+        solved = {r: x for r, (x, _) in solved.items()}
         assert solved[1] == as_fractions(as_sympy(a).LUsolve(as_sympy([parts[1]]).T))
-        assert solve_square(a, combine(parts)) == combine(solved)
-    with pytest.raises(LPError):
-        solve_square([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
+        assert solve_linear(a, combine(parts)) == (combine(solved), [])
+    singular = [[F(1), F(2)], [F(2), F(4)]]
+    assert solve_linear(singular, [F(1), F(1)]) is None
+    # the certificate rejects a singular basis matrix, consistent or not
+    for b in ([1, 1], [1, 2]):
+        assert not check_certificate(singular, b, [0, 0], [0, 1])
 
 
 def test_tangency():
@@ -181,25 +186,24 @@ def test_affine_maps_compose_pointwise():
 
 def test_scalar_maps_agree_with_the_matrix_product():
     def by_matrix(f, p):
+        matrix = [[f.scale if i == j else 0 for j in range(len(p))] for i in range(len(p))]
         return tuple(sum(a * x for a, x in zip(row, p)) + s
-                     for row, s in zip(f.matrix, f.shift))
+                     for row, s in zip(matrix, f.shift))
 
     rng = Random(4)
-    shear = AffineMap([[1, F(1, 3)], [0, 2]], pt(F(1, 5), -1))
-    assert shear.scale is None
     for _ in range(20):
         c = pt(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), 7))
         r = F(rng.randint(1, 9), rng.randint(1, 9))
         maps = [AffineMap.identity(2), AffineMap.translation(c),
-                AffineMap.homothety(c, r), AffineMap([[r, 0], [0, r]], c), shear]
-        assert [f.scale for f in maps] == [1, 1, r, r, None]
+                AffineMap.homothety(c, r), AffineMap(r, c)]
+        assert [f.scale for f in maps] == [1, 1, r, r]
         p = pt(F(rng.randint(-9, 9), 4), F(rng.randint(-9, 9), 3))
         for f in maps:
             assert f(p) == by_matrix(f, p)
             for h in maps:
                 composed = f.compose(h)
                 assert composed(p) == f(h(p))
-                assert (composed.scale is None) == (f.scale is None or h.scale is None)
+                assert composed.scale == f.scale * h.scale
 
 
 def test_simplex_rejects_bad_input():

@@ -261,6 +261,27 @@ def test_br_correct_fill_route():
         assert (out.mass_exact() - ch.mass_exact() * 6).sign() <= 0
 
 
+def test_br_correct_fill_route_builds_the_input_boundary_once(monkeypatch):
+    boundary = PolyChain.boundary
+    for d, n in ((3, 1), (2, 3)):
+        for seed in range(3):
+            ch = random_integral_boundary_chain(seed, d, n, d - 1)
+            calls = []
+
+            def counting_boundary(self):
+                calls.append(self)
+                return boundary(self)
+
+            with monkeypatch.context() as m:
+                m.setattr(PolyChain, "boundary", counting_boundary)
+                out, _ = br_correct(ch, route="fill")
+            assert out.boundary() == ch.boundary() and out != ch
+            # the input's, the fill's (checked by fill_boundary), the fill's
+            # again (bounded in lift_top_optimal), the lifted fill's, the output's
+            assert len(calls) == 5
+            assert sum(c is ch for c in calls) == 1
+
+
 def test_br_correct_middle_dimensions_unsupported():
     ch = random_chain(0, 3, 1, 1, terms=4)
     with pytest.raises(LiftError):
