@@ -44,6 +44,11 @@ class ApproxBudget:
     max_stages: int = 40
     stop_fraction: Fraction = Fraction(1, 1000)
 
+    def __post_init__(self):
+        # the schedule sums to epsilon/2, so no stage could meet a budget <= 0
+        if self.epsilon <= 0:
+            raise ApproxError("epsilon must be positive, got %s" % self.epsilon)
+
     def stage_fraction(self, n: int) -> Fraction:
         return self.epsilon / 2 ** (n + 2)
 

@@ -213,12 +213,16 @@ def document_to_chain(doc) -> PolyChain:
     return PolyChain.build(group, ambient, dim, items, complex=complex)
 
 
-def _chain_text(chain: PolyChain, pad: str) -> str:
+def _chain_text(chain: PolyChain, pad: str, blocks=None) -> str:
     """chain_to_document(chain) laid out as json.dumps(indent=2,
     sort_keys=True) lays it out when the object opens at indent `pad`.
 
     Every string in the document is a group tag or a str() of a Fraction,
-    which JSON quotes without escapes."""
+    which JSON quotes without escapes.  `blocks` maps a simplex to its
+    rendered vertex list at this `pad`; a caller writing several chains at
+    one pad passes one dict, so a simplex they share is rendered once."""
+    if blocks is None:
+        blocks = {}
     p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
     lines = ["{", '%s"ambient_dim": %d,' % (p1, chain.ambient_dim)]
     if chain.complex is not None:
@@ -233,8 +237,11 @@ def _chain_text(chain: PolyChain, pad: str) -> str:
     simplices = []
     for simplex, coeff in chain.items_sorted():
         coeff_text = str(int(coeff)) if integral else '"%s"' % coeff
-        vertices = ",\n".join(vertex_open + coord_sep.join(map(str, v)) + vertex_close
-                               for v in simplex.vertices)
+        vertices = blocks.get(simplex)
+        if vertices is None:
+            vertices = blocks[simplex] = ",\n".join(
+                vertex_open + coord_sep.join(map(str, v)) + vertex_close
+                for v in simplex.vertices)
         simplices.append('%s{\n%s"coeff": %s,\n%s"vertices": [\n%s\n%s]\n%s}'
                          % (p2, p3, coeff_text, p3, vertices, p3, p2))
     if simplices:
@@ -273,9 +280,12 @@ def load_chain(path: str) -> PolyChain:
 
 
 def emit_slices(slices) -> str:
-    """Coarea level slices (t_low, t_high, chain) as a slice document."""
+    """Coarea level slices (t_low, t_high, chain) as a slice document.  A
+    face on several level boundaries has its vertices rendered once."""
+    blocks: dict = {}
     entries = ['    {\n      "chain": %s,\n      "t_high": "%s",\n      "t_low": "%s"\n    }'
-               % (_chain_text(sl.chain, "      "), sl.t_high, sl.t_low) for sl in slices]
+               % (_chain_text(sl.chain, "      ", blocks), sl.t_high, sl.t_low)
+               for sl in slices]
     if not entries:
         return '{\n  "slices": []\n}\n'
     return '{\n  "slices": [\n%s\n  ]\n}\n' % ",\n".join(entries)

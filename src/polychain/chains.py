@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from math import lcm
 
 from . import geometry
 from .geometry import AffineMap, Simplex, canonical, faces
@@ -32,6 +33,13 @@ from .radicals import RadicalSum
 
 class ChainError(ValueError):
     pass
+
+
+def _rational_sum(values) -> Fraction:
+    """Exact sum of Fractions, added as integers over their common
+    denominator rather than pairwise."""
+    den = lcm(*{q.denominator for q in values})
+    return Fraction(sum(q.numerator * (den // q.denominator) for q in values), den)
 
 
 class PolyChain:
@@ -205,14 +213,28 @@ class PolyChain:
         return PolyChain(self.group, self.ambient_dim, self.dim - 1, terms, self.complex)
 
     def mass_exact(self) -> RadicalSum:
-        # sum the rational weights per volume radicand first, so the chain
-        # builds one RadicalSum and folds each radicand into it once
-        weights = {}
+        # Sum the norms per volume object first: the cells of one grid shape
+        # share one RadicalSum (Simplex.with_volume), so a grid chain pays one
+        # multiply per shape, not per term.  Then sum the rational weights per
+        # radicand, in first-seen order, and fold each radicand into one
+        # RadicalSum once; the exact weights and their order are those of a
+        # term-by-term sum, so str() and float() of the mass are too.
+        norm = self.group.norm
+        groups: dict = {}  # id of a volume -> [the volume, its terms' norms...]
         for simplex, coeff in self.terms.items():
-            n = self.group.norm(coeff)
+            n = norm(coeff)
             if n:
-                for rad, c in simplex.volume().terms.items():
-                    weights[rad] = weights.get(rad, 0) + c * n
+                vol = simplex.volume()
+                group = groups.get(id(vol))
+                if group is None:
+                    groups[id(vol)] = [vol, n]
+                else:
+                    group.append(n)
+        weights = {}
+        for group in groups.values():
+            total = group[1] if len(group) == 2 else _rational_sum(group[1:])
+            for rad, c in group[0].terms.items():
+                weights[rad] = weights.get(rad, 0) + c * total
         return RadicalSum.from_weights(weights)
 
     def mass(self) -> float:

@@ -14,20 +14,27 @@ constant sign along the threshold axis, so no cancellation is possible.
 Super-level sets are used above zero and complements below zero, keeping
 every slice region finite despite the infinite zero frame.
 
+`level_slices` makes all slices in one sweep over the thresholds: it keeps
+one integer coefficient per face for the boundary of the current region,
+and between two slices it steps only the faces of the cells whose value is
+the threshold crossed, never rebuilding a region or its boundary.
 `verify_coarea` builds the slices once and returns them with its check, so
-`decompose-levels --out` writes the very chains it verified.  Region and
-slice chains are built from cell ids (`GridComplex.chain_from_ids`), not
-from vertex tuples.
+`decompose-levels --out` writes the very chains it verified; its checks
+(the jump chain, every slice's mass, the term-by-term identity) do not use
+the sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .chains import PolyChain
-from .grid import GridError, grid_complex
+from .grid import GridError, check_grid, grid_complex
 from .groups import INTEGER, REAL
+
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,7 @@ class GridFunction:
 
     @classmethod
     def build(cls, ambient_dim: int, resolution: int, values) -> "GridFunction":
+        check_grid(ambient_dim, resolution)
         vals = tuple(Fraction(v) for v in values)
         if len(vals) != resolution ** ambient_dim:
             raise GridError("expected %d cell values, got %d"
@@ -60,11 +68,6 @@ class GridFunction:
             if v:
                 pairs += complex.top_pairs(group, complex.tops_of_cube(cube), v)
         return complex.chain_from_ids(group, self.ambient_dim, pairs)
-
-    def indicator(self, predicate) -> "GridFunction":
-        return GridFunction(self.ambient_dim, self.resolution,
-                            tuple(Fraction(1 if predicate(v) else 0)
-                                  for v in self.values))
 
 
 def function_boundary(u: GridFunction, group=REAL) -> PolyChain:
@@ -92,19 +95,60 @@ def level_slices(u: GridFunction) -> list:
 
     Intervals above zero use super-level regions {u >= t_high}; intervals
     below zero use the negated boundary of sub-level regions {u <= t_low},
-    which represents the same level boundary with a finite region."""
-    thresholds = sorted(set(u.values) | {Fraction(0)})
+    which represents the same level boundary with a finite region.
+
+    One sweep makes every slice.  The boundary of the cells with one value
+    is summed once from the incidence table as integer face coefficients.
+    Below zero the region starts empty and, walking up, takes in the cells
+    with value t_low before each slice; from zero up it starts as {u > 0}
+    and gives up the cells with value t_high after each slice.  Each slice
+    is read off the face coefficients of the current region."""
+    cx, d = u.complex, u.ambient_dim
+    incidence, lower, cells = cx.incidence(d), cx.simplices(d - 1), cx.cells_of_cube(d)
+    # value -> {face id: coefficient} of the boundary of the cells with that value
+    steps: dict[Fraction, dict] = {}
+    for cube, v in zip(cx.cubes(), u.values):
+        if not v:
+            continue
+        step = steps.setdefault(v, {})
+        for i, orient in cx.top_pairs(INTEGER, cells[cube], 1):
+            for f, sign in incidence[i]:
+                step[f] = step.get(f, 0) + (sign if orient > 0 else -sign)
+
+    coef: dict[int, int] = {}  # boundary of the current region, zeros dropped
+
+    def shift(step, by):
+        for f, c in step.items():
+            c = coef.get(f, 0) + by * c
+            if c:
+                coef[f] = c
+            else:
+                coef.pop(f, None)
+
+    def level_boundary(sign):
+        terms = {}
+        for f, c in coef.items():
+            if c == sign:
+                terms[lower[f]] = _ONE
+            elif c == -sign:
+                terms[lower[f]] = _MINUS_ONE
+            else:
+                raise GridError("level boundary is not multiplicity-one")
+        return PolyChain(INTEGER, d, d - 1, terms, cx)
+
+    thresholds = sorted(set(steps) | {Fraction(0)})
+    zero = thresholds.index(0)
     slices = []
-    for lo, hi in zip(thresholds, thresholds[1:]):
-        if lo >= 0:
-            region = u.indicator(lambda v, t=hi: v >= t)
-            chain = function_boundary(region, INTEGER)
-        else:
-            region = u.indicator(lambda v, t=lo: v <= t)
-            chain = -function_boundary(region, INTEGER)
-        if any(c not in (-1, 1) for c in chain.terms.values()):
-            raise GridError("level boundary is not multiplicity-one")
-        slices.append(LevelSlice(t_low=lo, t_high=hi, chain=chain))
+    for lo, hi in zip(thresholds[:zero], thresholds[1:zero + 1]):
+        shift(steps[lo], 1)
+        slices.append(LevelSlice(lo, hi, level_boundary(-1)))
+    coef.clear()
+    for v, step in steps.items():
+        if v > 0:
+            shift(step, 1)
+    for lo, hi in zip(thresholds[zero:], thresholds[zero + 1:]):
+        slices.append(LevelSlice(lo, hi, level_boundary(1)))
+        shift(steps[hi], -1)
     return slices
 
 
@@ -132,12 +176,16 @@ def verify_coarea(u: GridFunction) -> CoareaReport:
     slices = level_slices(u)
     lhs = boundary.mass_exact().as_rational()
     rhs = Fraction(0)
-    combined: dict = {}  # the weighted slice sum, term by term
+    # the weighted slice sum, term by term, summed as integers over the
+    # widths' common denominator (slice coefficients are integers)
+    den = lcm(*(sl.width.denominator for sl in slices))
+    combined: dict = {}
     for sl in slices:
         width = sl.width
         rhs += width * sl.chain.mass_exact().as_rational()
+        w = width.numerator * (den // width.denominator)
         for s, c in sl.chain.terms.items():
-            combined[s] = combined.get(s, 0) + c * width
-    identity = {s: c for s, c in combined.items() if c} == boundary.terms
+            combined[s] = combined.get(s, 0) + c.numerator * w
+    identity = {s: Fraction(c, den) for s, c in combined.items() if c} == boundary.terms
     return CoareaReport(boundary_mass=lhs, slice_mass=rhs, gap=lhs - rhs,
                         chain_identity=identity, slices=slices)

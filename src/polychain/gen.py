@@ -46,6 +46,8 @@ def random_chain(seed, d: int, n: int, k: int, group=REAL, terms: int = 6) -> Po
     complex = grid_complex(d, n)
     if not 0 <= k <= d:
         raise GenError("chains need 0 <= k <= d")
+    if terms < 0:
+        raise GenError("chains need terms >= 0")
     total = complex.count(k)
     ids = rng.sample(range(total), min(terms, total))
     return complex.chain_from_ids(group, k, [(i, random_coeff(rng, group)) for i in ids])

@@ -53,6 +53,14 @@ class GridError(ValueError):
     pass
 
 
+def check_grid(ambient_dim: int, resolution: int) -> None:
+    """Refuse grid parameters no Kuhn complex here is built for."""
+    if ambient_dim not in (1, 2, 3):
+        raise GridError("ambient dimension must be 1, 2 or 3")
+    if resolution < 1:
+        raise GridError("resolution must be >= 1")
+
+
 def _perm_sign(perm) -> int:
     inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
               if perm[i] > perm[j])
@@ -86,10 +94,7 @@ class GridComplex:
                  "_incidence", "_coboundary")
 
     def __init__(self, ambient_dim: int, resolution: int):
-        if ambient_dim not in (1, 2, 3):
-            raise GridError("ambient dimension must be 1, 2 or 3")
-        if resolution < 1:
-            raise GridError("resolution must be >= 1")
+        check_grid(ambient_dim, resolution)
         self.ambient_dim = ambient_dim
         self.resolution = resolution
 

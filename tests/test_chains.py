@@ -247,6 +247,50 @@ def test_mass_matches_the_per_term_fold_term_by_term():
         assert list(got.terms.items()) == list(expect.terms.items())
 
 
+def term_weight_mass(chain):
+    # reference: each term's norm times its volume, added per radicand in
+    # term order, then folded into one RadicalSum
+    weights = {}
+    for simplex, coeff in chain.terms.items():
+        n = chain.group.norm(coeff)
+        if n:
+            for rad, c in simplex.volume().terms.items():
+                weights[rad] = weights.get(rad, 0) + c * n
+    return RadicalSum.from_weights(weights)
+
+
+def test_mass_grouped_by_shared_volume_matches_the_per_term_sum():
+    mod5 = ModPGroup(5)
+    chains = []
+    for seed in range(4):
+        for group in (REAL, INTEGER, mod5, CIRCLE):
+            for d, n, k in ((2, 3, 1), (2, 3, 2), (3, 2, 1), (3, 2, 2), (3, 2, 3)):
+                grid = random_chain(seed, d, n, k, group, terms=12)
+                free = PolyChain.build(group, d, k, [(s.vertices, c) for s, c in
+                                                     grid.terms.items()])
+                chains += [grid, free, subdivide(free)]
+                if k:
+                    chains.append(grid.boundary())
+    # zero-norm terms: a zero coefficient held as a term, a zero-volume term
+    cx = grid_complex(2, 2)
+    held = dict(cx.full_chain(REAL, F(1, 3)).boundary().terms)
+    held[next(iter(held))] = F(0)
+    chains.append(PolyChain(REAL, 2, 1, held, cx))
+    flat = build([((pt(0, 0), pt(1, 1), pt(2, 2)), F(3)), ((pt(0, 0), pt(1, 0), pt(0, 1)), F(1, 2)),
+                  ((pt(0, 0), pt(2, 0), pt(0, 1)), F(-2, 3))], dim=2)
+    chains.append(flat)
+    shared = 0
+    for ch in chains:
+        vols = [id(s.volume()) for s in ch.terms]
+        shared += len(vols) > len(set(vols))
+        got, expect = ch.mass_exact(), term_weight_mass(ch)
+        assert str(got) == str(expect)
+        assert float(got).hex() == float(expect).hex()
+        assert list(got.terms) == list(expect.terms)
+    assert shared > 20
+    assert any(s.is_degenerate() for s in flat.terms)
+
+
 def test_as_real_keeps_the_simplices_and_the_complex():
     cx = grid_complex(2, 2)
     ints = cx.full_chain(INTEGER, 3).boundary()

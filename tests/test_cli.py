@@ -294,6 +294,34 @@ def test_gen_refuses_a_chain_dimension_outside_the_grid(tmp_path, capsys):
     assert not (tmp_path / "a.json").exists()
 
 
+def test_gen_names_the_limits_on_grid_and_terms(tmp_path, capsys):
+    out_file = tmp_path / "a.out"
+    for argv, shown in ((["function", "--grid", "2,0"], "error [grid]: resolution must be >= 1\n"),
+                        (["chain", "--grid", "2,0"], "error [grid]: resolution must be >= 1\n"),
+                        (["chain", "--grid", "2,3", "--terms", "-1"],
+                         "error [gen]: chains need terms >= 0\n"),
+                        (["loop-defect", "--grid", "2,3", "--terms", "-1"],
+                         "error [gen]: chains need terms >= 0\n")):
+        code, out, err = run(capsys, "gen", *argv, "--out", str(out_file))
+        assert (code, out, err) == (2, "", shown), argv
+    assert not out_file.exists()
+
+
+def test_a_non_positive_epsilon_is_refused_before_any_stage(tmp_path, capsys, monkeypatch):
+    from polychain import approx
+    src = tmp_path / "curve.json"
+    save_chain(random_chain(3, 2, 2, 1), str(src))
+    stages = []
+    monkeypatch.setattr(approx, "singular_translate",
+                        lambda *args: stages.append(args))
+    for command in ("disjoint-rep", "cycle-extend"):
+        for flag in (["--epsilon", "0"], ["--epsilon=-1/2"]):
+            code, out, err = run(capsys, command, str(src), *flag)
+            assert code == 2 and out == "", (command, flag)
+            assert err.startswith("error [approx]: epsilon must be positive"), err
+    assert stages == []
+
+
 def test_gen_is_deterministic_per_seed(tmp_path, capsys):
     a, b, c = (tmp_path / name for name in ("a.json", "b.json", "c.json"))
     run(capsys, "gen", "cycle", "--grid", "2,3", "--dim", "1",

@@ -142,3 +142,44 @@ def test_identity_fails_when_a_slice_is_altered(monkeypatch):
     monkeypatch.setattr(coarea, "level_slices", lambda v: level_slices(v) + pair)
     report = verify_coarea(flat)
     assert report.chain_identity and report.gap != 0
+
+
+def brute_force_slices(u):
+    # reference: per threshold, the region's indicator function as a top
+    # chain and its full boundary, as slicing was first written
+    def region(keep):
+        return GridFunction(u.ambient_dim, u.resolution,
+                            tuple(F(1 if keep(v) else 0) for v in u.values))
+    thresholds = sorted(set(u.values) | {F(0)})
+    slices = []
+    for lo, hi in zip(thresholds, thresholds[1:]):
+        if lo >= 0:
+            chain = function_boundary(region(lambda v: v >= hi), INTEGER)
+        else:
+            chain = -function_boundary(region(lambda v: v <= lo), INTEGER)
+        slices.append((lo, hi, chain))
+    return slices
+
+
+def sweep_slices(u):
+    return [(sl.t_low, sl.t_high, sl.chain) for sl in level_slices(u)]
+
+
+def test_sweep_matches_the_per_threshold_construction():
+    functions = [random_grid_function(seed, d, n, rational)
+                 for d, n in ((1, 5), (2, 3), (2, 6), (3, 2), (3, 3))
+                 for seed in range(3) for rational in (True, False)]
+    functions += [GridFunction.build(2, 3, [-2, -1, F(-1, 2)] * 3),  # all negative
+                  GridFunction.build(2, 3, [0] * 9),
+                  GridFunction.build(3, 2, [F(5, 3)] * 8),  # constant
+                  GridFunction.build(2, 1, [-4]),
+                  GridFunction.build(2, 3, [-3, 2, 0, F(1, 2), -1, 2, F(-1, 2), 0, 3])]
+    for u in functions:
+        got, expect = sweep_slices(u), brute_force_slices(u)
+        assert got == expect, u
+        for _, _, chain in got:
+            assert chain.group is INTEGER and chain.complex is u.complex
+            assert set(chain.terms.values()) <= {1, -1}
+    kinds = [(min(u.values) < 0, max(u.values) > 0) for u in functions]
+    assert (True, False) in kinds and (False, True) in kinds and (True, True) in kinds
+    assert sweep_slices(GridFunction.build(2, 3, [0] * 9)) == []
