@@ -18,6 +18,16 @@ k-dimensional transport of boundary(X), whose mass is driven under the
 stage budget by halving the displacement.  One prism to the composed map
 costs no more than a prism to f followed by one to tau (Federer, GMT
 4.1.9), and its remainder has about half the terms.
+
+Shrinks and translations have positive scale, so `pushforward` moves each
+term with `Simplex.moved`: the image keeps its squared volume (times
+r^(2k)) and its H-description, and is never rebuilt.  The shrunken copy's
+hulls are computed once, when `_pick_direction` tests tangency against
+their equality normals, and every trial translation in
+`singular_translate` carries them to the images its overlap tests read;
+the images that pass are the moved chain.  Each stage chain keeps its mass
+and boundary (`PolyChain` memoizes them), so the stage loop and the final
+checks compute each once.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from math import gcd
 
 from .chains import ChainError, PolyChain, prism, pushforward
 from .flatnorm import flat_norm, _replay_ok
-from .geometry import AffineMap, Simplex, is_tangent, overlap_dim_at_least
+from .geometry import AffineMap, is_tangent, overlap_dim_at_least
 from .grid import embed_on, grid_complex
 from .radicals import RadicalSum
 
@@ -170,7 +180,8 @@ def singular_translate(chain: PolyChain, carriers, t_max):
     """Translate the chain along a lattice direction tangent to none of its
     simplices, by t_max halved until every moved simplex meets every
     carrier simplex in dimension < k.  Mass is unchanged (translation is
-    an isometry).  Returns (moved chain, direction, shift), with direction
+    an isometry).  Each trial moves the chain once; the images tested are
+    its terms.  Returns (moved chain, direction, shift), with direction
     None and the chain unmoved when there is nothing to separate."""
     k = chain.dim
     if k >= chain.ambient_dim:
@@ -185,12 +196,13 @@ def singular_translate(chain: PolyChain, carriers, t_max):
     v = _pick_direction(moving)
     t = t_max
     for _ in range(64):
-        shift = tuple(t * x for x in v)
-        tau = AffineMap.translation(shift)
-        images = [Simplex(tau.apply_vertices(s.vertices)) for s in moving]
+        # a translation keeps volumes, so the images of `moving` are the
+        # moved chain's non-degenerate terms
+        moved = pushforward(chain, AffineMap.translation(tuple(t * x for x in v)))
+        images = [s for s in moved.terms if not s.is_degenerate()]
         if not any(overlap_dim_at_least(im, ref, k)
                    for im in images for ref in carriers):
-            return pushforward(chain, tau), v, t
+            return moved, v, t
         t = t / 2
     raise ApproxError("could not certify singular position")
 

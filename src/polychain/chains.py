@@ -3,8 +3,11 @@
 A chain is a finite formal sum of oriented rational simplices.  Canonical
 form: vertices sorted lexicographically, orientation parity folded into the
 coefficient, zero coefficients and repeated-vertex tuples dropped.  Chain
-equality is equality of canonical term maps.  Chains are immutable by
-convention; every operation returns a new chain.
+equality is equality of canonical term maps.  Chains are immutable: every
+operation returns a new chain, and nothing changes `terms` after
+construction.  That is load-bearing, since a chain computes its mass and
+its boundary once, on first use, and hands the same objects to every later
+caller.
 
 Zero-volume simplices with distinct vertices are kept as formal terms: they
 carry no mass but their faces matter for exact boundary identities (prism
@@ -17,6 +20,10 @@ validated to be supported on it, and hold the complex's interned simplices
 (`GridComplex.intern`) as their keys, so each grid cell's hash and volume
 are computed once per process; their boundaries are read off the
 complex's incidence table instead of being built from vertex tuples.
+A free chain's boundary makes each face from the sorted vertex tuple of
+its parent, which is sorted already, without re-validating it; a
+pushforward by x -> r*x + b with r > 0 maps each term's simplex with
+`Simplex.moved`, which carries its geometry over.
 """
 
 from __future__ import annotations
@@ -43,15 +50,18 @@ def _rational_sum(values) -> Fraction:
 
 
 class PolyChain:
-    __slots__ = ("group", "ambient_dim", "dim", "terms", "complex")
+    __slots__ = ("group", "ambient_dim", "dim", "terms", "complex", "_mass", "_boundary")
 
     def __init__(self, group: Group, ambient_dim: int, dim: int, terms, complex=None):
-        # internal: terms must already be canonical {Simplex: coeff}
+        # internal: terms must already be canonical {Simplex: coeff}, and
+        # are never changed afterwards (mass and boundary are memoized)
         self.group = group
         self.ambient_dim = ambient_dim
         self.dim = dim
         self.terms = terms
         self.complex = complex
+        self._mass = None
+        self._boundary = None
 
     @classmethod
     def build(cls, group: Group, ambient_dim: int, dim: int, items, complex=None) -> "PolyChain":
@@ -188,13 +198,20 @@ class PolyChain:
     # -- boundary and mass ----------------------------------------------------
 
     def boundary(self) -> "PolyChain":
-        if self.dim == 0:
-            raise ChainError("0-chains have no boundary")
+        """The boundary chain, built on the first call and kept."""
+        if self._boundary is None:
+            if self.dim == 0:
+                raise ChainError("0-chains have no boundary")
+            self._boundary = self._build_boundary()
+        return self._boundary
+
+    def _build_boundary(self) -> "PolyChain":
         k, g, cx = self.dim, self.group, self.complex
         if cx is None:
+            face = Simplex.trusted  # faces of sorted tuples stay sorted
+
             def signed_faces(simplex):
-                # faces of sorted tuples stay sorted
-                return [(Simplex(fv), sign) for fv, sign in faces(simplex.vertices)]
+                return [(face(fv), sign) for fv, sign in faces(simplex.vertices)]
         else:
             incidence, lower = cx.incidence(k), cx.simplices(k - 1)
 
@@ -213,8 +230,14 @@ class PolyChain:
         return PolyChain(self.group, self.ambient_dim, self.dim - 1, terms, self.complex)
 
     def mass_exact(self) -> RadicalSum:
+        """The exact mass, computed on the first call and kept."""
+        if self._mass is None:
+            self._mass = self._measure()
+        return self._mass
+
+    def _measure(self) -> RadicalSum:
         # Sum the norms per volume object first: the cells of one grid shape
-        # share one RadicalSum (Simplex.with_volume), so a grid chain pays one
+        # share one RadicalSum (Simplex.trusted), so a grid chain pays one
         # multiply per shape, not per term.  Then sum the rational weights per
         # radicand, in first-seen order, and fold each radicand into one
         # RadicalSum once; the exact weights and their order are those of a
@@ -263,7 +286,14 @@ class PolyChain:
 
 
 def pushforward(chain: PolyChain, f: AffineMap) -> PolyChain:
-    """Image chain under an affine map; output is soup."""
+    """Image chain under an affine map; output is soup.
+
+    With f's scale r > 0 the map is injective and keeps vertex order, so
+    the terms map one to one, in order, through `Simplex.moved`; any other
+    scale goes through `PolyChain.build`, which sorts and merges."""
+    if f.scale > 0:
+        return PolyChain(chain.group, chain.ambient_dim, chain.dim,
+                         {s.moved(f): c for s, c in chain.terms.items()})
     items = [(f.apply_vertices(s.vertices), c) for s, c in chain.terms.items()]
     return PolyChain.build(chain.group, chain.ambient_dim, chain.dim, items)
 

@@ -88,12 +88,11 @@ def _fraction_arg(text: str, flag: str) -> Fraction:
 
 
 def _chain_summary(rep: Report, prefix: str, chain):
-    """Report the chain's term count and mass; returns the exact mass."""
+    """Report the chain's term count and mass."""
     mass = chain.mass_exact()
     rep.add(prefix + "_terms", len(chain))
     rep.add(prefix + "_mass_exact", mass)
     rep.add(prefix + "_mass", float(mass))
-    return mass
 
 
 # -- command handlers ---------------------------------------------------------
@@ -143,9 +142,9 @@ def _cmd_flatnorm(args, chain, rep):
 
 def _cmd_project(args, chain, rep):
     out = project_chain(chain)
-    in_mass = _chain_summary(rep, "input", chain)
-    out_mass = _chain_summary(rep, "projected", out)
-    rep.bound("mass_nonincreasing", (out_mass - in_mass).sign() <= 0)
+    _chain_summary(rep, "input", chain)
+    _chain_summary(rep, "projected", out)
+    rep.bound("mass_nonincreasing", (out.mass_exact() - chain.mass_exact()).sign() <= 0)
     if chain.dim > 0:
         rep.bound("boundary_commutes",
                   project_chain(chain.boundary()) == out.boundary())
@@ -219,15 +218,15 @@ def _cmd_br_correct(args, chain, rep):
 def _cmd_cycle_extend(args, chain, rep):
     epsilon = _fraction_arg(args.epsilon, "--epsilon")
     cycle, carriers, defect, stage_rep = cycle_extension(chain, epsilon)
-    in_mass = _chain_summary(rep, "input", chain)
-    out_mass = _chain_summary(rep, "cycle", cycle)
+    _chain_summary(rep, "input", chain)
+    _chain_summary(rep, "cycle", cycle)
     rep.add("stages", len(stage_rep.stages))
     rep.add("epsilon_terminal", float(stage_rep.epsilon_terminal))
     rep.add("carrier_simplices", len(carriers))
     rep.add("restriction_defect", float(defect))
     rep.bound("boundary_zero", True)  # checked by cycle_extension
-    bound = in_mass * (2 + epsilon) + stage_rep.epsilon_terminal
-    rep.bound("mass_within_bound", (out_mass - bound).sign() <= 0)
+    bound = chain.mass_exact() * (2 + epsilon) + stage_rep.epsilon_terminal
+    rep.bound("mass_within_bound", (cycle.mass_exact() - bound).sign() <= 0)
     rep.bound("defect_within_terminal", True)  # checked by cycle_extension
     return cycle
 
@@ -235,12 +234,12 @@ def _cmd_cycle_extend(args, chain, rep):
 def _cmd_disjoint_rep(args, chain, rep):
     epsilon = _fraction_arg(args.epsilon, "--epsilon")
     out, stage_rep = disjoint_representative(chain, ApproxBudget(epsilon=epsilon))
-    in_mass = _chain_summary(rep, "input", chain)
-    out_mass = _chain_summary(rep, "representative", out)
+    _chain_summary(rep, "input", chain)
+    _chain_summary(rep, "representative", out)
     rep.add("stages", len(stage_rep.stages))
     rep.add("epsilon_terminal", float(stage_rep.epsilon_terminal))
-    bound = in_mass * (1 + epsilon) + stage_rep.epsilon_terminal
-    rep.bound("mass_within_bound", (out_mass - bound).sign() <= 0)
+    bound = chain.mass_exact() * (1 + epsilon) + stage_rep.epsilon_terminal
+    rep.bound("mass_within_bound", (out.mass_exact() - bound).sign() <= 0)
     rep.bound("boundary_preserved", True)  # checked by disjoint_representative
     return out
 

@@ -7,13 +7,21 @@ of the sorting permutation into a sign so chains can store sorted tuples.
 
 Tangency and overlap predicates are decided exactly with small rational
 linear algebra (row reduction, vertex enumeration of intersection
-polytopes); no floating point is involved.  All of that linear algebra,
-and the basis solves of the LP certificate (`simplex_lp.check_certificate`,
-through `solve_linear`), use one elimination kernel: `gauss_jordan`, of
-which `mat_rank`, `solve_linear` and `det` are thin wrappers.
+polytopes); no floating point is involved.  They read each simplex's
+H-description from `Simplex.hull`, computed on first use and cached on
+the simplex.  All of that linear algebra, and the basis solves of the LP
+certificate (`simplex_lp.check_certificate`, through `solve_linear`), use
+one elimination kernel: `gauss_jordan`, of which `mat_rank` and
+`solve_linear` are thin wrappers.  `det` expands cofactors in closed form
+up to 3x3 (Gram matrices of simplices in R^3 and below) and calls
+`gauss_jordan` above that.
 
 `AffineMap` is the scalar map x -> r*x + b, the only kind the
-approximation pipeline moves chains by.
+approximation pipeline moves chains by.  With r > 0 it keeps the
+lexicographic order of vertices, so `Simplex.moved` builds the image
+simplex directly, already canonical, and carries the squared volume
+(times r^(2k)) and the H-description over exactly instead of recomputing
+them.
 """
 
 from __future__ import annotations
@@ -114,6 +122,17 @@ def solve_linear(a_rows, b):
 
 
 def det(rows) -> Fraction:
+    """Determinant of a square matrix: cofactors in closed form up to 3x3,
+    the elimination kernel above that; 0 for a non-square matrix."""
+    n = len(rows)
+    if 1 <= n <= 3 and all(len(r) == n for r in rows):
+        if n == 1:
+            return rows[0][0]
+        if n == 2:
+            (a, b), (c, d) = rows
+            return a * d - b * c
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     return gauss_jordan(rows)[2]
 
 
@@ -154,13 +173,14 @@ class Simplex:
     """Oriented k-simplex: ordered rational vertices, orientation = order.
 
     Immutable: the vertices never change after construction, so the hash
-    is computed once, and the squared volume, volume and bounding box are
-    cached on first use.  Grid complexes hand out one shared object per
-    cell (see GridComplex.intern), so those caches are filled once per
-    cell in a process.
+    is computed once, and the squared volume, volume, bounding box and
+    H-description (`hull`) are cached on first use.  Grid complexes hand
+    out one shared object per cell (see GridComplex.intern), so those
+    caches are filled once per cell in a process.  `moved` hands the known
+    ones on to the image under a map r*x + b with r > 0.
     """
 
-    __slots__ = ("vertices", "_hash", "_sqvol", "_vol", "_bbox")
+    __slots__ = ("vertices", "_hash", "_sqvol", "_vol", "_bbox", "_hull")
 
     def __init__(self, vertices):
         verts = tuple(as_point(v) for v in vertices)
@@ -176,18 +196,21 @@ class Simplex:
         self._sqvol = None
         self._vol = None
         self._bbox = None
+        self._hull = None
 
     @classmethod
-    def with_volume(cls, vertices, sqvol, vol) -> "Simplex":
-        """The simplex on `vertices`, already a tuple of Fraction point
-        tuples, with its squared volume and volume already known (a grid
-        cell takes them from its shape); nothing is checked or recomputed."""
+    def trusted(cls, vertices, sqvol=None, vol=None, hull=None) -> "Simplex":
+        """The simplex on `vertices`, already a valid tuple of Fraction point
+        tuples (a face of a simplex, a grid cell, an image under a map),
+        with its squared volume, volume and H-description where already
+        known; nothing is checked or recomputed."""
         s = cls.__new__(cls)
         s.vertices = vertices
         s._hash = hash(vertices)
         s._sqvol = sqvol
         s._vol = vol
         s._bbox = None
+        s._hull = hull
         return s
 
     @property
@@ -227,6 +250,45 @@ class Simplex:
             cols = tuple(zip(*self.vertices))
             self._bbox = tuple(map(min, cols)), tuple(map(max, cols))
         return self._bbox
+
+    def hull(self):
+        """The exact H-description (equalities, inequalities) of
+        `_hull_constraints`, computed once."""
+        if self._hull is None:
+            self._hull = _hull_constraints(self)
+        return self._hull
+
+    def moved(self, f: "AffineMap") -> "Simplex":
+        """The image under f: x -> r*x + b, which needs r > 0.
+
+        Such a map keeps the lexicographic order of the vertices, so the
+        image is canonical with the same orientation.  Its squared volume is
+        this one's times r^(2k), the same object when r == 1 (which also
+        shares the volume), and its H-description is this one's carried
+        over exactly: an equality n.x = c becomes n.y = r*c + n.b, an
+        inequality a.x >= c becomes (a/r).y >= c + (a/r).b.  Both equal
+        what recomputing them on the image gives; a volume is not scaled
+        but derived again from the squared volume, so it prints as a
+        recomputed one does.  What is not known here is left to compute."""
+        r, b = f.scale, f.shift
+        if r <= 0:
+            raise GeometryError("moved needs a map with positive scale")
+        sqvol, vol, hull = self._sqvol, self._vol, self._hull
+        if r == 1:
+            verts = tuple([tuple([x + t for x, t in zip(v, b)]) for v in self.vertices])
+        else:
+            verts = tuple([tuple([r * x + t for x, t in zip(v, b)]) for v in self.vertices])
+            vol = None
+            if sqvol is not None:
+                sqvol = sqvol * r ** (2 * len(verts) - 2)
+        if hull is not None:
+            eqs, ineqs = hull
+            if r != 1:
+                eqs = [(n, r * c) for n, c in eqs]
+                ineqs = [(tuple([x / r for x in a]), c) for a, c in ineqs]
+            hull = (tuple([(n, c + _dot(n, b)) for n, c in eqs]),
+                    tuple([(a, c + _dot(a, b)) for a, c in ineqs]))
+        return Simplex.trusted(verts, sqvol, vol, hull)
 
     def __eq__(self, other):
         if self is other:
@@ -302,29 +364,35 @@ class AffineMap:
 # tangency and overlap predicates
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def is_tangent(direction, simplex: Simplex) -> bool:
     """True iff the direction vector lies in the simplex's edge span.
 
     Every vector is tangent to a top-dimensional simplex; the zero vector is
-    tangent to everything.
+    tangent to everything.  On a non-degenerate simplex the hull's equality
+    normals span the complement of the edge span, so the test is n.v == 0
+    for each of them; a degenerate simplex has no hull and compares ranks.
     """
     vec = [Fraction(c) for c in direction]
     if all(c == 0 for c in vec):
         return True
-    edges = simplex.edges()
-    if not edges:
-        return False
-    rows = [list(e) for e in edges]
+    if not simplex.is_degenerate():
+        return all(_dot(n, vec) == 0 for n, _ in simplex.hull()[0])
+    rows = [list(e) for e in simplex.edges()]
     return mat_rank(rows + [vec]) == mat_rank(rows)
 
 
 def _hull_constraints(s: Simplex):
     """Exact H-description of the simplex.
 
-    Returns (equalities, inequalities) with equalities [(row, rhs)] meaning
-    row . x = rhs (affine hull) and inequalities [(row, rhs)] meaning
-    row . x >= rhs (barycentric nonnegativity extended off-hull via normal
-    equations; exact on the hull, which is all the intersection code needs).
+    Returns (equalities, inequalities), tuples of (row, rhs) pairs with row
+    a tuple: equalities mean row . x = rhs (affine hull) and inequalities
+    mean row . x >= rhs (barycentric nonnegativity extended off-hull via
+    normal equations; exact on the hull, which is all the intersection
+    code needs).  Callers read it through `Simplex.hull`, which caches it.
     """
     v0 = s.vertices[0]
     edges = s.edges()
@@ -336,11 +404,11 @@ def _hull_constraints(s: Simplex):
         sol = solve_linear([list(e) for e in edges] or [[Fraction(0)] * d], [Fraction(0)] * max(k, 1))
         _, null = sol
         for n in null:
-            eqs.append((list(n), sum(a * b for a, b in zip(n, v0))))
+            eqs.append((tuple(n), _dot(n, v0)))
     ineqs = []
     if k == 0:
-        return eqs, ineqs
-    gram = [[sum(a * b for a, b in zip(e1, e2)) for e2 in edges] for e1 in edges]
+        return tuple(eqs), ()
+    gram = [[_dot(e1, e2) for e2 in edges] for e1 in edges]
     # rows of Gram^{-1} E give barycentric coordinates t = G^{-1} E (x - v0)
     reduced, pivots, _ = gauss_jordan(
         [row + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(gram)], k)
@@ -349,22 +417,30 @@ def _hull_constraints(s: Simplex):
     ginv = [row[k:] for row in reduced]
     bary_rows = []
     for i in range(k):
-        row = [sum(ginv[i][j] * edges[j][c] for j in range(k)) for c in range(d)]
+        row = tuple(sum(ginv[i][j] * edges[j][c] for j in range(k)) for c in range(d))
         bary_rows.append(row)
     # t_i(x) >= 0 and 1 - sum t_i(x) >= 0
     for row in bary_rows:
-        rhs = sum(a * b for a, b in zip(row, v0))
-        ineqs.append((row, rhs))
-    total = [sum(-r[c] for r in bary_rows) for c in range(d)]
-    rhs = sum(a * b for a, b in zip(total, v0)) - 1
-    ineqs.append((total, rhs))
-    return eqs, ineqs
+        ineqs.append((row, _dot(row, v0)))
+    total = tuple(sum(-r[c] for r in bary_rows) for c in range(d))
+    ineqs.append((total, _dot(total, v0) - 1))
+    return tuple(eqs), tuple(ineqs)
 
 
 def _bboxes_disjoint(s1: Simplex, s2: Simplex) -> bool:
     lo1, hi1 = s1.bbox()
     lo2, hi2 = s2.bbox()
     return any(h1 < l2 or h2 < l1 for l2, h1, l1, h2 in zip(lo2, hi1, lo1, hi2))
+
+
+def _equalities_rank(eqs, d: int):
+    """Rank of the stacked equality rows, or None when the system is
+    inconsistent; one elimination decides both."""
+    rows, pivots, _ = gauss_jordan([list(row) + [rhs] for row, rhs in eqs], d)
+    rank = len(pivots)
+    if any(rows[i][d] for i in range(rank, len(rows))):
+        return None
+    return rank
 
 
 def overlap_dim(s1: Simplex, s2: Simplex) -> int:
@@ -374,15 +450,15 @@ def overlap_dim(s1: Simplex, s2: Simplex) -> int:
     if _bboxes_disjoint(s1, s2):
         return -1
     d = s1.ambient_dim
-    eqs1, in1 = _hull_constraints(s1)
-    eqs2, in2 = _hull_constraints(s2)
+    eqs1, in1 = s1.hull()
+    eqs2, in2 = s2.hull()
     eqs = eqs1 + eqs2
     ineqs = in1 + in2
     if eqs:
-        sol = solve_linear([e[0] for e in eqs], [e[1] for e in eqs])
-        if sol is None:
+        rank = _equalities_rank(eqs, d)
+        if rank is None:
             return -1
-        u = d - mat_rank([e[0] for e in eqs])
+        u = d - rank
     else:
         u = d
     # vertices of the intersection polytope: u active independent inequalities
@@ -398,7 +474,7 @@ def overlap_dim(s1: Simplex, s2: Simplex) -> int:
         x, null = sol
         if null:  # rank-deficient choice, not a candidate vertex
             continue
-        if all(sum(a * b for a, b in zip(row, x)) >= r for row, r in ineqs):
+        if all(_dot(row, x) >= r for row, r in ineqs):
             points.add(tuple(x))
     if not points:
         return -1
@@ -409,38 +485,32 @@ def overlap_dim(s1: Simplex, s2: Simplex) -> int:
 
 
 def overlap_dim_at_least(s1: Simplex, s2: Simplex, k: int) -> bool:
-    """Cheap-first test for overlap_dim(s1, s2) >= k."""
+    """Cheap-first test for overlap_dim(s1, s2) >= k: bounding boxes, then
+    the consistency and dimension of the two affine hulls' intersection."""
     if k <= -1:
         return True
     if _bboxes_disjoint(s1, s2):
         return False
-    eqs1, _ = _hull_constraints(s1)
-    eqs2, _ = _hull_constraints(s2)
-    eqs = eqs1 + eqs2
+    eqs = s1.hull()[0] + s2.hull()[0]
     if eqs:
-        sol = solve_linear([e[0] for e in eqs], [e[1] for e in eqs])
-        if sol is None:
-            return False
-        if s1.ambient_dim - mat_rank([e[0] for e in eqs]) < k:
+        rank = _equalities_rank(eqs, s1.ambient_dim)
+        if rank is None or s1.ambient_dim - rank < k:
             return False
     return overlap_dim(s1, s2) >= k
 
 
-def point_in_simplex(point, s: Simplex, hull=None) -> bool:
-    """Exact membership test (closed simplex).  `hull` is s's H-description
-    from _hull_constraints, for callers that test many points."""
+def point_in_simplex(point, s: Simplex) -> bool:
+    """Exact membership test (closed simplex)."""
     p = as_point(point)
-    eqs, ineqs = _hull_constraints(s) if hull is None else hull
+    eqs, ineqs = s.hull()
     for row, rhs in eqs:
-        if sum(a * b for a, b in zip(row, p)) != rhs:
+        if _dot(row, p) != rhs:
             return False
     for row, rhs in ineqs:
-        if sum(a * b for a, b in zip(row, p)) < rhs:
+        if _dot(row, p) < rhs:
             return False
     return True
 
 
-def simplex_in_simplex(inner: Simplex, outer: Simplex, hull=None) -> bool:
-    if hull is None:
-        hull = _hull_constraints(outer)
-    return all(point_in_simplex(v, outer, hull) for v in inner.vertices)
+def simplex_in_simplex(inner: Simplex, outer: Simplex) -> bool:
+    return all(point_in_simplex(v, outer) for v in inner.vertices)

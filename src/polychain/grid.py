@@ -45,7 +45,7 @@ from itertools import combinations, permutations, product
 from math import ceil, floor
 
 from . import chains as _chains
-from .geometry import Simplex, _hull_constraints, det, faces, simplex_in_simplex
+from .geometry import Simplex, det, faces, simplex_in_simplex
 from .radicals import RadicalSum
 
 
@@ -146,7 +146,7 @@ class GridComplex:
         for shape in _kuhn_shapes(self.ambient_dim)[0][k]:
             s = Simplex(tuple(map(point, shape)))
             shape_vol.append((s.sq_volume(), s.volume()))
-        known = Simplex.with_volume
+        known = Simplex.trusted
         stored = tuple([known(tuple(map(point, cell)), *shape_vol[si])
                         for cell, si in zip(self._cells[k], self._shape_of[k])])
         self._simplices[k] = stored
@@ -359,7 +359,6 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
             first, last = max(ceil(a * n), 0), min(floor(b * n), n)
             spans.append(range(min(first, n - 1), min(last, n - 1) + 1) if first <= last else ())
         candidates = sorted(i for cube in product(*spans) for i in by_cube[cube])
-        hull = _hull_constraints(sigma)
         base = sigma.edges()
         covered = RadicalSum()
         for i in candidates:
@@ -367,7 +366,7 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
             tlo, thi = t.bbox()
             if any(a < b for a, b in zip(tlo, lo)) or any(a > b for a, b in zip(thi, hi)):
                 continue
-            if not simplex_in_simplex(t, sigma, hull):
+            if not simplex_in_simplex(t, sigma):
                 continue
             # t lies in sigma's affine hull, so its edges are E_t = C E_sigma
             # and det(E_t E_sigma^T) = det(C) det(Gram(sigma)) has det(C)'s sign

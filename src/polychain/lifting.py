@@ -190,8 +190,8 @@ def lift_top_optimal(chain: PolyChain):
 # loop cancellation (bounded ratio 1 for 1-chains)
 
 
-def _integral_boundary(boundary: PolyChain) -> bool:
-    return all(c.denominator == 1 for c in boundary.terms.values())
+def _integral_boundary(chain: PolyChain) -> bool:
+    return all(c.denominator == 1 for c in chain.boundary().terms.values())
 
 
 def _find_cycle(frac_terms):
@@ -248,11 +248,9 @@ def loop_cancel(chain: PolyChain):
         raise LiftError("loop cancellation expects real coefficients")
     if chain.dim != 1:
         raise LiftError("loop cancellation is a 1-chain operation")
-    boundary = chain.boundary()
-    if not _integral_boundary(boundary):
+    if not _integral_boundary(chain):
         raise LiftError("boundary multiplicities are not integers")
-    in_mass = chain.mass_exact()
-    current, current_mass = chain, in_mass
+    current = chain
     passes = 0
     limit = len(chain.terms) + 1
     while True:
@@ -288,14 +286,13 @@ def loop_cancel(chain: PolyChain):
                                 [(s.vertices, theta * direction) for s, direction in edges],
                                 complex=current.complex)
         updated = current - delta
-        updated_mass = updated.mass_exact()
-        if (updated_mass - current_mass).sign() > 0:
+        if (updated.mass_exact() - current.mass_exact()).sign() > 0:
             raise LiftError("loop subtraction increased mass")
-        current, current_mass = updated, updated_mass
+        current = updated
         passes += 1
-    if current.boundary() != boundary:
+    if current.boundary() != chain.boundary():
         raise LiftError("loop cancellation changed the boundary")
-    if (current_mass - in_mass).sign() > 0:
+    if (current.mass_exact() - chain.mass_exact()).sign() > 0:
         raise LiftError("loop cancellation increased mass")
     return current, LiftReport(route="loop", d_used=1, guaranteed_ratio=1.0, passes=passes)
 
@@ -377,8 +374,7 @@ def br_correct(chain: PolyChain, route: str = "auto"):
         if k != d - 1:
             raise LiftError("fill route needs k = d - 1")
         projected = project_chain(chain)
-        boundary = chain.boundary()
-        if not project_chain(boundary).is_zero():
+        if not project_chain(chain.boundary()).is_zero():
             raise LiftError("boundary does not project to zero")
         if projected.is_zero():
             return chain, 6
@@ -387,7 +383,7 @@ def br_correct(chain: PolyChain, route: str = "auto"):
         corrected = chain - lifted_fill.boundary()
         if not project_chain(corrected).is_zero():
             raise LiftError("correction left fractional coefficients")
-        if corrected.boundary() != boundary:
+        if corrected.boundary() != chain.boundary():
             raise LiftError("correction changed the boundary")
         if (corrected.mass_exact() - chain.mass_exact() * 6).sign() > 0:
             raise LiftError("mass ratio 6 violated")

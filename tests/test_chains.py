@@ -1,6 +1,7 @@
 """Chain algebra: canonical form, boundary, prism and cone identities."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,13 @@ def test_boundary_of_square_cancels_inner_diagonal():
     assert loop.boundary().is_zero()
 
 
+def test_mass_and_boundary_are_computed_once_per_chain():
+    ch = build([seg(pt(0, 0), pt(1, 0)), seg(pt(1, 0), pt(1, 1), 2)])
+    assert ch.boundary() is ch.boundary()
+    assert ch.mass_exact() is ch.mass_exact()
+    assert ch.boundary().mass_exact().as_rational() == 4  # -(0,0) - (1,0) + 2(1,1)
+
+
 def test_boundary_requires_positive_dimension():
     ch = PolyChain.build(REAL, 2, 0, [((pt(0, 0),), F(1))])
     with pytest.raises(ChainError):
@@ -117,6 +125,47 @@ def test_pushforward_scales_mass_by_jacobian():
     h = AffineMap.homothety(pt(0, 0), F(1, 3))
     img = pushforward(ch, h)
     assert img.mass_exact().as_rational() == F(2, 3)
+
+
+def test_pushforward_moves_terms_as_build_would(monkeypatch):
+    rng = Random(2024)
+
+    def rational():
+        return F(rng.randint(-9, 9), rng.randint(1, 9))
+    chains = []
+    for d in (1, 2, 3):
+        for k in range(d + 1):
+            for group in (REAL, CIRCLE):
+                items = [(tuple(tuple(rational() for _ in range(d)) for _ in range(k + 1)),
+                          rational()) for _ in range(4)]
+                if k == 2:  # a zero-volume term with distinct vertices
+                    items.append(((pt(*[0] * d), pt(*[1] * d), pt(*[2] * d)), F(1, 3)))
+                chains.append(PolyChain.build(group, d, k, items))
+    built = []
+    original = PolyChain.build.__func__
+
+    def counting_build(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+    for ch in chains:
+        d = ch.ambient_dim
+        for r in (F(1), F(1, 2), F(127, 128), F(7, 3), F(-1), F(0)):
+            f = AffineMap(r, tuple(rational() for _ in range(d)))
+            for s in ch.terms:  # warm caches, which the fast path carries
+                s.sq_volume()
+            expected = PolyChain.build(ch.group, d, ch.dim,
+                                       [(f.apply_vertices(s.vertices), c)
+                                        for s, c in ch.terms.items()])
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(PolyChain, "build", classmethod(counting_build))
+                got = pushforward(ch, f)
+            assert len(built) == (1 if r <= 0 else 0)
+            assert list(got.terms.items()) == list(expected.terms.items())
+            assert got.complex is None
+            assert str(got.mass_exact()) == str(expected.mass_exact())
+            if r == 0 and ch.dim > 0:
+                assert got.is_zero()
 
 
 @settings(max_examples=25, deadline=None)

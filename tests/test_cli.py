@@ -235,12 +235,12 @@ def test_chain_summary_computes_each_mass_once(tmp_path, capsys, monkeypatch):
     src = tmp_path / "square.json"
     save_chain(grid_complex(2, 1).full_chain(REAL), str(src))
     calls = []
-    mass_exact = PolyChain.mass_exact
+    measure = PolyChain._measure
 
     def counted(self):
         calls.append(self)
-        return mass_exact(self)
-    monkeypatch.setattr(PolyChain, "mass_exact", counted)
+        return measure(self)
+    monkeypatch.setattr(PolyChain, "_measure", counted)
     code, out, _ = run(capsys, "boundary", str(src))
     assert code == 0
     assert "input_mass = 1.0" in out and "boundary_mass = 4.0" in out
@@ -249,13 +249,16 @@ def test_chain_summary_computes_each_mass_once(tmp_path, capsys, monkeypatch):
 
 def test_cli_does_not_recompute_bounds_the_library_checked(tmp_path, capsys, monkeypatch):
     # lift_top_threshold, lift_top_optimal, loop_cancel and br_correct check
-    # every bound these commands report, so cli.py computes masses only to
-    # report each chain, once per chain; the --theta route also reports the
-    # lift's boundary mass here
+    # every bound these commands report, measuring the input and the output
+    # on the way, and each chain keeps its mass and boundary, so cli.py
+    # computes only what no library routine did: `lift` summarises its input
+    # before lifting (the 3x check then reuses that mass), and the --theta
+    # route reports the lift's boundary mass.  Counted are the computations,
+    # by the frame that called mass_exact or boundary.
     calls = []
-    for name in ("mass_exact", "boundary"):
-        def counted(self, _original=getattr(PolyChain, name), _name=name):
-            caller = sys._getframe(1).f_code
+    for name, public in (("_measure", "mass_exact"), ("_build_boundary", "boundary")):
+        def counted(self, _original=getattr(PolyChain, name), _name=public):
+            caller = sys._getframe(2).f_code
             if os.path.basename(caller.co_filename) == "cli.py":
                 calls.append((_name, caller.co_name))
             return _original(self)
@@ -264,18 +267,17 @@ def test_cli_does_not_recompute_bounds_the_library_checked(tmp_path, capsys, mon
     save_chain(random_circle_top(5, 2, 5), top)
     save_chain(random_integral_boundary_chain(5, 3, 2, 2), codim)
     save_chain(random_integral_boundary_chain(5, 2, 3, 1), loop)
-    theta_route = [("boundary", "_cmd_lift"), ("mass_exact", "_cmd_lift")]
-    for argv, extra in ((["lift", top], []),
-                        (["lift", top, "--theta", "37/91"], theta_route),
-                        (["cancel-loops", loop], []),
-                        (["br-correct", codim, "--route", "fill"], [])):
+    lift_input = [("mass_exact", "_chain_summary")]
+    theta_route = lift_input + [("boundary", "_cmd_lift"), ("mass_exact", "_cmd_lift")]
+    for argv, expected in ((["lift", top], lift_input),
+                           (["lift", top, "--theta", "37/91"], theta_route),
+                           (["cancel-loops", loop], []),
+                           (["br-correct", codim, "--route", "fill"], [])):
         calls.clear()
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
-        reported = re.findall(r"^\w+_terms = \d+$", out, re.M)
-        summaries = [("mass_exact", "_chain_summary")] * len(reported)
-        assert len(summaries) == 2
-        assert sorted(calls) == sorted(summaries + extra), argv
+        assert len(re.findall(r"^\w+_terms = \d+$", out, re.M)) == 2
+        assert sorted(calls) == sorted(expected), argv
 
 
 def test_usage_errors_exit_2(capsys):

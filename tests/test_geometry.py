@@ -6,9 +6,9 @@ from random import Random
 import pytest
 import sympy
 
-from polychain.geometry import (AffineMap, GeometryError, Simplex, canonical,
-                                det, is_tangent, mat_rank, overlap_dim,
-                                overlap_dim_at_least, point_in_simplex,
+from polychain.geometry import (AffineMap, GeometryError, Simplex, _equalities_rank,
+                                canonical, det, gauss_jordan, is_tangent, mat_rank,
+                                overlap_dim, overlap_dim_at_least, point_in_simplex,
                                 simplex_in_simplex, solve_linear)
 from polychain.radicals import RadicalSum
 from polychain.simplex_lp import check_certificate
@@ -113,6 +113,23 @@ def test_elimination_agrees_with_sympy():
                 assert all(v == 0 for v in ref * as_sympy(null).T)
 
 
+def test_closed_form_determinants_match_the_elimination_kernel():
+    rng = Random(18)
+    for n in (1, 2, 3, 4):
+        for rank in (None, None, n - 1, 0):
+            for _ in range(10):
+                a = random_matrix(rng, n, n, rank)
+                value = det(a)
+                assert isinstance(value, Fraction)
+                assert value == gauss_jordan(a)[2]
+                if rank is not None:
+                    assert value == 0
+    # rows that repeat, and a non-square matrix
+    assert det([[F(1, 2), F(3)], [F(1, 2), F(3)]]) == 0
+    assert det([[F(1), F(2), F(3)], [F(4), F(5), F(6)], [F(1), F(2), F(3)]]) == 0
+    assert det([[F(1), F(2)]]) == 0
+
+
 def test_solve_linear_with_radical_right_hand_sides():
     rng = Random(7)
     radicands = (1, 2, 3)
@@ -211,3 +228,122 @@ def test_simplex_rejects_bad_input():
         Simplex((pt(0, 0), pt(0, 0, 0)))
     with pytest.raises(GeometryError):
         Simplex(())
+
+
+def random_simplex(rng, d, k, denominator=9):
+    verts = {tuple(F(rng.randint(-9, 9), rng.randint(1, denominator)) for _ in range(d))
+             for _ in range(k + 1)}
+    while len(verts) < k + 1:
+        verts.add(tuple(F(rng.randint(-9, 9), 7) for _ in range(d)))
+    return Simplex(canonical(verts)[0])
+
+
+def test_moved_simplex_equals_the_recomputed_image():
+    rng = Random(1808)
+    flat = Simplex((pt(0, 0), pt(1, 1), pt(2, 2)))
+    cases = [random_simplex(rng, d, k) for d in (1, 2, 3) for k in range(d + 1)
+             for _ in range(3)] + [flat]
+    for s in cases:
+        for r in (F(1), F(1, 2), F(127, 128), F(7, 3)):
+            shift = tuple(F(rng.randint(-9, 9), rng.randint(1, 16)) for _ in range(s.ambient_dim))
+            f = AffineMap(r, shift)
+            for warm in (False, True):
+                source = Simplex(s.vertices)
+                if warm:
+                    source.sq_volume()
+                    source.volume()
+                    if not source.is_degenerate():
+                        source.hull()
+                image = source.moved(f)
+                ref = Simplex(f.apply_vertices(s.vertices))
+                assert image.vertices == ref.vertices
+                assert canonical(ref.vertices) == (ref.vertices, 1)
+                assert image == ref and hash(image) == hash(ref)
+                # carried over when known, left to compute otherwise
+                assert (image._sqvol is not None) == warm
+                assert (image._hull is not None) == (warm and not s.is_degenerate())
+                assert image.sq_volume() == ref.sq_volume()
+                assert str(image.volume()) == str(ref.volume())
+                if warm and r == 1:
+                    assert image.volume() is source.volume()
+                if s.is_degenerate():
+                    with pytest.raises(GeometryError):
+                        image.hull()
+                else:
+                    assert image.hull() == ref.hull()
+    with pytest.raises(GeometryError):
+        cases[0].moved(AffineMap(-1, (F(0),)))
+
+
+def _rank_tangent(direction, simplex):
+    """Tangency by comparing ranks, with and without the direction."""
+    vec = [F(c) for c in direction]
+    if all(c == 0 for c in vec):
+        return True
+    rows = [list(e) for e in simplex.edges()]
+    if not rows:
+        return False
+    return mat_rank(rows + [vec]) == mat_rank(rows)
+
+
+def test_tangency_by_hull_normals_agrees_with_the_rank_test():
+    rng = Random(77)
+    flat = Simplex((pt(0, 0, 0), pt(1, 1, 0), pt(2, 2, 0)))
+    cases = [random_simplex(rng, d, k) for d in (2, 3) for k in range(d + 1)
+             for _ in range(4)] + [flat]
+    seen = set()
+    for s in cases:
+        d = s.ambient_dim
+        edges = s.edges()
+        vectors = [tuple(F(rng.randint(-3, 3)) for _ in range(d)) for _ in range(6)]
+        vectors += [tuple(F(0) for _ in range(d))]
+        for _ in range(3):  # in the edge span
+            weights = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in edges]
+            vectors.append(tuple(sum((w * e[i] for w, e in zip(weights, edges)), F(0))
+                                 for i in range(d)))
+        for v in vectors:
+            expected = _rank_tangent(v, s)
+            assert is_tangent(v, s) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_overlap_dim_at_least_agrees_with_overlap_dim():
+    pairs = [
+        ((pt(0, 0), pt(1, 0)), (pt(F(1, 2), -1), pt(F(1, 2), 1))),          # crossing
+        ((pt(0, 0), pt(1, 0)), (pt(1, 0), pt(2, 1))),                      # touching
+        ((pt(0, 0), pt(1, 0)), (pt(F(1, 2), 0), pt(2, 0))),                # collinear overlap
+        ((pt(0, 0), pt(1, 0)), (pt(0, 1), pt(1, 1))),                      # parallel, disjoint
+        ((pt(0, 0), pt(1, 0), pt(0, 1)), (pt(0, 0), pt(1, 0), pt(0, 1))),  # identical
+        ((pt(0, 0), pt(1, 0), pt(0, 1)), (pt(F(1, 4), F(1, 4)), pt(2, 2))),
+        ((pt(0, 0), pt(1, 0), pt(0, 1)), (pt(1, 0), pt(1, 1), pt(0, 1))),  # shared edge
+        ((pt(0, 0, 0), pt(1, 0, 0)), (pt(F(1, 2), -1, 0), pt(F(1, 2), 1, 0))),
+        ((pt(0, 0, 0), pt(1, 0, 0)), (pt(F(1, 2), -1, 1), pt(F(1, 2), 1, 1))),  # skew
+        ((pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)), (pt(0, 0, 1), pt(1, 0, 1), pt(0, 1, 1))),
+        ((pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)), (pt(0, 0, 0), pt(1, 0, 0), pt(0, 0, 1))),
+        ((pt(0, 0, 0), pt(2, 0, 0), pt(0, 2, 0)), (pt(1, 1, -1), pt(1, 1, 1))),
+        ((pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)),
+         (pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))),
+    ]
+    cases = [(Simplex(a), Simplex(b)) for a, b in pairs]
+    # seeded pairs on a coarse lattice, so that many of them meet
+    rng = Random(9)
+    for d in (2, 3):
+        for _ in range(60):
+            a, b = (random_simplex(rng, d, rng.randint(0, d), denominator=1)
+                    for _ in range(2))
+            if not (a.is_degenerate() or b.is_degenerate()):
+                cases.append((a, b))
+    seen = set()
+    for a, b in cases:
+        dim = overlap_dim(a, b)
+        seen.add(dim)
+        for k in range(-1, a.ambient_dim + 1):
+            assert overlap_dim_at_least(a, b, k) == (dim >= k), (a, b, k)
+        # one elimination decides what solve_linear and mat_rank did
+        eqs = a.hull()[0] + b.hull()[0]
+        if eqs:
+            rows, rhs = [e[0] for e in eqs], [e[1] for e in eqs]
+            expected = None if solve_linear(rows, rhs) is None else mat_rank(rows)
+            assert _equalities_rank(eqs, a.ambient_dim) == expected
+    assert seen == {-1, 0, 1, 2, 3}

@@ -281,14 +281,13 @@ def _full_scan_embed(target, chain):
     pairs = []
     for sigma, coeff in chain.terms.items():
         lo, hi = sigma.bbox()
-        hull = geometry._hull_constraints(sigma)
         base = sigma.edges()
         covered = RadicalSum()
         for i, t in enumerate(target.simplices(k)):
             tlo, thi = t.bbox()
             if any(a < b for a, b in zip(tlo, lo)) or any(a > b for a, b in zip(thi, hi)):
                 continue
-            if not geometry.simplex_in_simplex(t, sigma, hull):
+            if not geometry.simplex_in_simplex(t, sigma):
                 continue
             rel = geometry.det([[sum(a * b for a, b in zip(e, f)) for f in base]
                                 for e in t.edges()])

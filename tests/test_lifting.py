@@ -181,22 +181,23 @@ def test_loop_cancel_contract_on_seeded_chains():
 
 
 def test_loop_cancel_computes_each_mass_and_boundary_once(monkeypatch):
-    mass_exact, boundary = PolyChain.mass_exact, PolyChain.boundary
+    # counts the computations, not the calls the chain's memo answers
+    measure, build_boundary = PolyChain._measure, PolyChain._build_boundary
     for seed in range(6):
         ch = random_integral_boundary_chain(seed, 2, 3, 1)
         calls = {"mass": 0, "boundary": 0}
 
         def counting_mass(self):
             calls["mass"] += 1
-            return mass_exact(self)
+            return measure(self)
 
         def counting_boundary(self):
             calls["boundary"] += 1
-            return boundary(self)
+            return build_boundary(self)
 
         with monkeypatch.context() as m:
-            m.setattr(PolyChain, "mass_exact", counting_mass)
-            m.setattr(PolyChain, "boundary", counting_boundary)
+            m.setattr(PolyChain, "_measure", counting_mass)
+            m.setattr(PolyChain, "_build_boundary", counting_boundary)
             out, report = loop_cancel(ch)
         assert out.boundary() == ch.boundary() and report.passes >= 1
         # the input's mass, then one per pass; the input's boundary, then the output's
@@ -262,7 +263,8 @@ def test_br_correct_fill_route():
 
 
 def test_br_correct_fill_route_builds_the_input_boundary_once(monkeypatch):
-    boundary = PolyChain.boundary
+    # counts the boundaries built, not the calls the chain's memo answers
+    build_boundary = PolyChain._build_boundary
     for d, n in ((3, 1), (2, 3)):
         for seed in range(3):
             ch = random_integral_boundary_chain(seed, d, n, d - 1)
@@ -270,15 +272,15 @@ def test_br_correct_fill_route_builds_the_input_boundary_once(monkeypatch):
 
             def counting_boundary(self):
                 calls.append(self)
-                return boundary(self)
+                return build_boundary(self)
 
             with monkeypatch.context() as m:
-                m.setattr(PolyChain, "boundary", counting_boundary)
+                m.setattr(PolyChain, "_build_boundary", counting_boundary)
                 out, _ = br_correct(ch, route="fill")
             assert out.boundary() == ch.boundary() and out != ch
-            # the input's, the fill's (checked by fill_boundary), the fill's
-            # again (bounded in lift_top_optimal), the lifted fill's, the output's
-            assert len(calls) == 5
+            # the input's, the fill's (checked by fill_boundary, then bounded
+            # in lift_top_optimal), the lifted fill's, the output's
+            assert len(calls) == 4
             assert sum(c is ch for c in calls) == 1
 
 
