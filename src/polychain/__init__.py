@@ -9,7 +9,7 @@ codimension-one boundaries of grid functions exactly.  All certified
 comparisons are exact: rational arithmetic plus closed-form square roots.
 """
 
-from .approx import (ApproxBudget, ApproxError, StageReport, cycle_extension,
+from .approx import (ApproxError, StageReport, cycle_extension,
                      disjoint_representative, measured_shrink_distance,
                      shrink_toward, singular_translate, telescope)
 from .chainfile import (ChainFileError, emit_chain, emit_grid_function,
@@ -33,7 +33,7 @@ from .radicals import RadicalSum
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxBudget", "ApproxError", "StageReport", "cycle_extension",
+    "ApproxError", "StageReport", "cycle_extension",
     "disjoint_representative", "measured_shrink_distance", "shrink_toward",
     "singular_translate", "telescope",
     "ChainFileError", "emit_chain", "emit_grid_function", "load_chain",

@@ -47,25 +47,16 @@ class ApproxError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ApproxBudget:
-    """Stage budgets: a geometric schedule summing to epsilon/2."""
-    epsilon: Fraction = Fraction(1, 10)
-    max_stages: int = 40
-    stop_fraction: Fraction = Fraction(1, 1000)
-
-    def __post_init__(self):
-        # the schedule sums to epsilon/2, so no stage could meet a budget <= 0
-        if self.epsilon <= 0:
-            raise ApproxError("epsilon must be positive, got %s" % self.epsilon)
-
-    def stage_fraction(self, n: int) -> Fraction:
-        return self.epsilon / 2 ** (n + 2)
+# The stage schedule of `disjoint_representative`: stage n may leave a
+# remainder of mass epsilon / 2^(n+2) times the input mass, so the stages
+# sum to epsilon/2.  The stages stop once the remainder is at most
+# STOP_FRACTION of the input mass, and fail past MAX_STAGES.
+MAX_STAGES = 40
+STOP_FRACTION = Fraction(1, 1000)
 
 
 @dataclass
 class StageRecord:
-    index: int
     shrink_ratio: Fraction
     direction: tuple | None
     shift: Fraction
@@ -216,17 +207,19 @@ def _box_center(complex):
     return tuple((a + b) / 2 for a, b in zip(lo, hi))
 
 
-def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None):
+def disjoint_representative(chain: PolyChain, epsilon=Fraction(1, 10)):
     """Rebuild the chain out of shrunken translated copies whose supports
     cross the original carriers only in dimension < k.
 
     Returns (R, report) with, exactly, boundary(R) = boundary(chain),
     mass(R) <= (1 + epsilon) * mass(chain) + e_N, and every stage piece
     certified singular against the original carriers; e_N is the measured
-    mass of the final remainder (at most stop_fraction * mass(chain)).
+    mass of the final remainder (at most STOP_FRACTION * mass(chain)).
+    epsilon sets the stage schedule described at MAX_STAGES.
     """
-    if budget is None:
-        budget = ApproxBudget()
+    # the schedule sums to epsilon/2, so no stage could meet a budget <= 0
+    if epsilon <= 0:
+        raise ApproxError("epsilon must be positive, got %s" % epsilon)
     if chain.complex is None:
         raise ChainError("disjoint representative needs a complex-backed chain")
     k, d = chain.dim, chain.ambient_dim
@@ -241,15 +234,15 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
     diameter = float(chain.complex.diameter())
     carriers = [s for s in chain.terms if not s.is_degenerate()]
     identity = AffineMap.identity(d)
-    stop_mass = total * budget.stop_fraction
+    stop_mass = total * STOP_FRACTION
 
     x = chain
     pieces = []
-    for n in range(budget.max_stages):
+    for n in range(MAX_STAGES):
         x_mass = x.mass_exact()
         if (x_mass - stop_mass).sign() <= 0:
             break
-        stage_budget = total * budget.stage_fraction(n)
+        stage_budget = total * (epsilon / 2 ** (n + 2))
         bx = x.boundary() if k >= 1 else None
         one_minus = Fraction(1, 2)
         if k >= 1 and not bx.is_zero():
@@ -283,7 +276,7 @@ def disjoint_representative(chain: PolyChain, budget: ApproxBudget | None = None
         if (piece + transport + filling.boundary()) != x:
             raise ApproxError("stage identity failed to replay")
         report.stages.append(StageRecord(
-            index=n, shrink_ratio=lam, direction=direction, shift=shift,
+            shrink_ratio=lam, direction=direction, shift=shift,
             piece=piece, remainder=transport, filling=filling))
         pieces.append(piece)
         x = transport
@@ -310,8 +303,7 @@ def cycle_extension(chain: PolyChain, epsilon=Fraction(1, 10)):
     """
     if chain.dim < 1:
         raise ApproxError("cycle extension needs k >= 1")
-    budget = ApproxBudget(epsilon=Fraction(epsilon))
-    rep, report = disjoint_representative(chain, budget)
+    rep, report = disjoint_representative(chain, Fraction(epsilon))
     cycle = chain - rep
     if not cycle.boundary().is_zero():
         raise ApproxError("extension is not a cycle")

@@ -41,7 +41,7 @@ from math import factorial
 
 from .chains import PolyChain
 from .coarea import GridFunction
-from .grid import grid_complex
+from .grid import check_grid, grid_complex
 from .groups import GroupError
 from .groups import group_from_tag as _group_from_tag
 
@@ -323,6 +323,7 @@ def parse_grid_function(text: str) -> GridFunction:
               for i, t in enumerate(tokens[2:])]
     if d < 1 or n < 1:
         raise ChainFileError("grid function header out of range: d=%d n=%d" % (d, n))
+    check_grid(d, n)  # before n ** d, which a large d makes unbounded
     if len(values) != n ** d:
         raise ChainFileError("expected %d grid values, got %d" % (n ** d, len(values)))
     return GridFunction.build(d, n, values)

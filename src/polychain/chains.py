@@ -49,6 +49,17 @@ def _rational_sum(values) -> Fraction:
     return Fraction(sum(q.numerator * (den // q.denominator) for q in values), den)
 
 
+def mass_from_totals(totals) -> RadicalSum:
+    """sum total * volume over (volume, rational total) pairs: the weights
+    are summed per radicand in first-seen order and each radicand is folded
+    in once, so str() and float() are those of a term-by-term sum."""
+    weights = {}
+    for vol, total in totals:
+        for rad, c in vol.terms.items():
+            weights[rad] = weights.get(rad, 0) + c * total
+    return RadicalSum.from_weights(weights)
+
+
 class PolyChain:
     __slots__ = ("group", "ambient_dim", "dim", "terms", "complex", "_mass", "_boundary")
 
@@ -238,10 +249,7 @@ class PolyChain:
     def _measure(self) -> RadicalSum:
         # Sum the norms per volume object first: the cells of one grid shape
         # share one RadicalSum (Simplex.trusted), so a grid chain pays one
-        # multiply per shape, not per term.  Then sum the rational weights per
-        # radicand, in first-seen order, and fold each radicand into one
-        # RadicalSum once; the exact weights and their order are those of a
-        # term-by-term sum, so str() and float() of the mass are too.
+        # multiply per shape, not per term, in `mass_from_totals`.
         norm = self.group.norm
         groups: dict = {}  # id of a volume -> [the volume, its terms' norms...]
         for simplex, coeff in self.terms.items():
@@ -253,12 +261,9 @@ class PolyChain:
                     groups[id(vol)] = [vol, n]
                 else:
                     group.append(n)
-        weights = {}
-        for group in groups.values():
-            total = group[1] if len(group) == 2 else _rational_sum(group[1:])
-            for rad, c in group[0].terms.items():
-                weights[rad] = weights.get(rad, 0) + c * total
-        return RadicalSum.from_weights(weights)
+        return mass_from_totals((group[0], group[1] if len(group) == 2
+                                 else _rational_sum(group[1:]))
+                                for group in groups.values())
 
     def mass(self) -> float:
         return float(self.mass_exact())

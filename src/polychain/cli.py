@@ -30,8 +30,7 @@ import functools
 import sys
 from fractions import Fraction
 
-from .approx import (ApproxBudget, ApproxError, cycle_extension,
-                     disjoint_representative)
+from .approx import ApproxError, cycle_extension, disjoint_representative
 from .chainfile import (ChainFileError, InputLimitError, check_grid_size,
                         emit_chain, group_from_tag, load_chain,
                         load_grid_function, parse_chain, parse_rational,
@@ -233,7 +232,7 @@ def _cmd_cycle_extend(args, chain, rep):
 
 def _cmd_disjoint_rep(args, chain, rep):
     epsilon = _fraction_arg(args.epsilon, "--epsilon")
-    out, stage_rep = disjoint_representative(chain, ApproxBudget(epsilon=epsilon))
+    out, stage_rep = disjoint_representative(chain, epsilon)
     _chain_summary(rep, "input", chain)
     _chain_summary(rep, "representative", out)
     rep.add("stages", len(stage_rep.stages))

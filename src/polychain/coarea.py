@@ -98,22 +98,18 @@ def level_slices(u: GridFunction) -> list:
     which represents the same level boundary with a finite region.
 
     One sweep makes every slice.  The boundary of the cells with one value
-    is summed once from the incidence table as integer face coefficients.
+    is summed once by `GridComplex.face_sums`, as integer face coefficients
+    (each top cell weighted by its orientation, +1 or -1).
     Below zero the region starts empty and, walking up, takes in the cells
     with value t_low before each slice; from zero up it starts as {u > 0}
     and gives up the cells with value t_high after each slice.  Each slice
     is read off the face coefficients of the current region."""
     cx, d = u.complex, u.ambient_dim
-    incidence, lower, cells = cx.incidence(d), cx.simplices(d - 1), cx.cells_of_cube(d)
+    lower, cells = cx.simplices(d - 1), cx.cells_of_cube(d)
     # value -> {face id: coefficient} of the boundary of the cells with that value
-    steps: dict[Fraction, dict] = {}
-    for cube, v in zip(cx.cubes(), u.values):
-        if not v:
-            continue
-        step = steps.setdefault(v, {})
-        for i, orient in cx.top_pairs(INTEGER, cells[cube], 1):
-            for f, sign in incidence[i]:
-                step[f] = step.get(f, 0) + (sign if orient > 0 else -sign)
+    steps = cx.face_sums((v, i, int(orient))
+                         for cube, v in zip(cx.cubes(), u.values) if v
+                         for i, orient in cx.top_pairs(INTEGER, cells[cube], 1))
 
     coef: dict[int, int] = {}  # boundary of the current region, zeros dropped
 

@@ -13,7 +13,7 @@ from random import Random
 
 from .chains import PolyChain
 from .coarea import GridFunction
-from .grid import grid_complex
+from .grid import check_grid, grid_complex
 from .groups import CIRCLE, INTEGER, REAL
 
 
@@ -110,6 +110,7 @@ def random_circle_chain(seed, d: int, n: int, k: int, terms: int = 5,
 def random_grid_function(seed, d: int, n: int, rational: bool = True) -> GridFunction:
     """Random piecewise-constant function; values mix small integers with
     small rationals (and always include some zero cells)."""
+    check_grid(d, n)  # before n ** d, which a large d makes unbounded
     rng = _rng(seed)
     pool = [Fraction(v) for v in (-3, -2, -1, 0, 0, 1, 2, 3)]
     if rational:

@@ -12,9 +12,10 @@ H-description from `Simplex.hull`, computed on first use and cached on
 the simplex.  All of that linear algebra, and the basis solves of the LP
 certificate (`simplex_lp.check_certificate`, through `solve_linear`), use
 one elimination kernel: `gauss_jordan`, of which `mat_rank` and
-`solve_linear` are thin wrappers.  `det` expands cofactors in closed form
-up to 3x3 (Gram matrices of simplices in R^3 and below) and calls
-`gauss_jordan` above that.
+`solve_linear` are thin wrappers.  Its step, `pivot`, is also the step of
+the exact LP tableau (`simplex_lp.solve_exact`).  `det` expands cofactors
+in closed form up to 3x3 (Gram matrices of simplices in R^3 and below) and
+calls `gauss_jordan` above that.
 
 `AffineMap` is the scalar map x -> r*x + b, the only kind the
 approximation pipeline moves chains by.  With r > 0 it keeps the
@@ -40,6 +41,26 @@ Vertices = tuple  # tuple[Point, ...]
 # exact linear algebra: one elimination kernel (row vectors as lists)
 
 
+def pivot(rows, r: int, col: int) -> list:
+    """One exact pivot step in place: scale row r to a 1 in column col (a
+    nonzero Fraction) and clear column col from the other rows, touching
+    only row r's nonzero columns, which are returned.  `gauss_jordan` and
+    the LP tableau of `simplex_lp.solve_exact` share it."""
+    prow = rows[r]
+    nz = [j for j, v in enumerate(prow) if v]
+    pv = prow[col]
+    if pv != 1:
+        inv = Fraction(1) / pv
+        for j in nz:
+            prow[j] = prow[j] * inv
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            for j in nz:
+                row[j] = row[j] - prow[j] * f
+    return nz
+
+
 def gauss_jordan(rows, ncols=None):
     """Gauss-Jordan reduction over Q: the one elimination kernel behind
     mat_rank, solve_linear and det.
@@ -48,8 +69,8 @@ def gauss_jordan(rows, ncols=None):
     `ncols` columns (all columns by default), which hold Fractions; later
     columns are carried along as augmented columns and may hold any values
     forming a vector space over Q, such as RadicalSums.  Each column's pivot
-    is its first nonzero entry at or below the current rank, and a pivot
-    step touches only the pivot row's nonzero columns.
+    is its first nonzero entry at or below the current rank, and each step
+    is one `pivot`.
 
     Returns (reduced, pivots, det): the reduced row echelon form (pivots 1,
     zero above and below them), the pivot column of each of its first
@@ -71,20 +92,8 @@ def gauss_jordan(rows, ncols=None):
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
             determinant = -determinant
-        prow = m[rank]
-        pv = prow[col]
-        determinant *= pv
-        # a pivot row is zero left of its pivot column
-        nz = [j for j in range(col, len(prow)) if prow[j]]
-        if pv != 1:
-            inv = Fraction(1) / pv
-            for j in nz:
-                prow[j] = prow[j] * inv
-        for i, row in enumerate(m):
-            f = row[col]
-            if f and i != rank:
-                for j in nz:
-                    row[j] = row[j] - prow[j] * f
+        determinant *= m[rank][col]
+        pivot(m, rank, col)
         pivots.append(col)
     if len(pivots) != len(m) or len(m) != ncols:
         determinant = Fraction(0)

@@ -240,6 +240,20 @@ class GridComplex:
             self._coboundary[k] = tuple(tuple(c) for c in cols)
         return self._coboundary[k]
 
+    def face_sums(self, triples) -> dict:
+        """{key: {face id: sum of weight * sign}} over (key, top id, weight)
+        triples, summed from the top incidence rows in first-seen order;
+        faces that sum to zero are kept."""
+        incidence = self.incidence(self.ambient_dim)
+        sums: dict = {}
+        for key, i, w in triples:
+            table = sums.get(key)
+            if table is None:
+                table = sums[key] = {}
+            for f, sign in incidence[i]:
+                table[f] = table.get(f, 0) + (w if sign > 0 else -w)
+        return sums
+
     # -- chains ------------------------------------------------------------------
 
     def validate_chain(self, chain) -> None:

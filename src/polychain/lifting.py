@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 
-from .approx import ApproxBudget, disjoint_representative
-from .chains import ChainError, PolyChain
+from .approx import disjoint_representative
+from .chains import PolyChain, mass_from_totals
 from .groups import CIRCLE, REAL, section
 from .radicals import RadicalSum
 
@@ -117,33 +116,28 @@ def threshold_profile(chain: PolyChain) -> ThresholdProfile:
     (1/4, 3/4); each interval is labelled by its midpoint.
 
     One sweep computes it.  Just above 1/4 a cell with c <= 1/4 keeps c
-    and every other cell takes c - 1; the boundary coefficients of that
-    lift are summed once from the incidence table, and its mass is kept
-    as rational weights per volume radicand, sum |coef_f| * vol_f.  When
-    the threshold crosses a break b, only the cells with c == b step up
-    by 1, so only their faces' coefficients and those faces' weights
-    change.  Each interval's mass is built from the weights as
-    `PolyChain.mass_exact` builds it.
+    and every other cell takes c - 1.  `GridComplex.face_sums` gives that
+    lift's boundary coefficients and, per break b, the integer step they
+    take as the cells with c == b step up by 1.  The mass is one running
+    total of |coef_f| per shared face volume, folded per interval by
+    `chains.mass_from_totals` as `PolyChain.mass_exact` folds it.
     """
     _require_top(chain)
     lo, hi = Fraction(1, 4), Fraction(3, 4)
     cx, d = chain.complex, chain.dim
-    incidence, lower = cx.incidence(d), cx.simplices(d - 1)
-    coef: dict[int, Fraction] = {}
-    rising: dict[Fraction, list] = {}  # break -> incidence rows of its cells
-    for s, c in chain.terms.items():
-        row = incidence[cx.index_of(d, s)]
-        if lo < c < hi:
-            rising.setdefault(c, []).append(row)
-        g = c if c <= lo else c - 1
-        for f, sign in row:
-            coef[f] = coef.get(f, 0) + (g if sign > 0 else -g)
-    volume = {f: lower[f].volume().terms.items() for f in coef}
-    weights: dict[int, Fraction] = {}
+    cells = [(cx.index_of(d, s), c) for s, c in chain.terms.items()]
+    coef = cx.face_sums((lo, i, c if c <= lo else c - 1) for i, c in cells).get(lo, {})
+    rising = cx.face_sums((c, i, 1) for i, c in cells if lo < c < hi)
+    lower = cx.simplices(d - 1)
+    totals: dict = {}  # id of a face volume -> [the volume, sum of |coef_f|]
+    total_of = {}  # face id -> its volume's totals entry
     for f, g in coef.items():
-        if g:
-            for rad, v in volume[f]:
-                weights[rad] = weights.get(rad, 0) + abs(g) * v
+        vol = lower[f].volume()
+        entry = totals.get(id(vol))
+        if entry is None:
+            entry = totals[id(vol)] = [vol, 0]
+        entry[1] += abs(g)
+        total_of[f] = entry
 
     breaks = sorted(rising)
     points = [lo] + breaks + [hi]
@@ -151,15 +145,12 @@ def threshold_profile(chain: PolyChain) -> ThresholdProfile:
     integral = RadicalSum()
     best = None
     for a, b in zip(points, points[1:]):
-        for row in rising.get(a, ()):
-            for f, sign in row:
-                old = coef[f]
-                coef[f] = new = old + sign
-                step = abs(new) - abs(old)
-                for rad, v in volume[f]:
-                    weights[rad] = weights.get(rad, 0) + step * v
+        for f, step in rising.get(a, {}).items():
+            old = coef[f]
+            coef[f] = new = old + step
+            total_of[f][1] += abs(new) - abs(old)
         mid = (a + b) / 2
-        mass = RadicalSum.from_weights(weights)
+        mass = mass_from_totals(totals.values())
         intervals.append((a, b, mid, mass))
         integral = integral + mass * (b - a)
         if best is None or (mass - best[1]).sign() < 0:
@@ -198,44 +189,27 @@ def _find_cycle(frac_terms):
     """Deterministic cycle in the endpoint graph of the fractional edges.
 
     Every vertex of this graph has degree >= 2 (a degree-1 vertex would
-    leave a fractional boundary multiplicity), so a cycle exists; DFS
-    from the least vertex returns the first back edge's loop."""
+    leave a fractional boundary multiplicity), so a walk from the least
+    vertex, always to the least neighbour but the one it came from, closes
+    a loop: [(v, None), (vertex, edge into it), ..., (v, closing edge)]."""
     adj: dict = {}
     for s in frac_terms:
         a, b = s.vertices
         adj.setdefault(a, []).append((b, s))
         adj.setdefault(b, []).append((a, s))
-    for v in adj:
-        adj[v].sort(key=lambda t: t[0])
-    root = min(adj)
-    path = [(root, None)]
-    in_path = {root: 0}
-    iters = [iter(adj[root])]
-    visited = {root}
-    while iters:
-        u = path[-1][0]
-        advanced = False
-        for w, s in iters[-1]:
-            if len(path) >= 2 and w == path[-2][0]:
-                continue
-            if w in in_path:
-                # back edge closes the loop
-                start = in_path[w]
-                cycle = [(path[i][0], path[i][1]) for i in range(start + 1, len(path))]
-                cycle = [(w, None)] + cycle + [(w, s)]
-                return cycle
-            if w not in visited:
-                visited.add(w)
-                in_path[w] = len(path)
-                path.append((w, s))
-                iters.append(iter(adj[w]))
-                advanced = True
-                break
-        if not advanced:
-            vtx, _ = path.pop()
-            del in_path[vtx]
-            iters.pop()
-    raise LiftError("fractional subgraph unexpectedly acyclic")
+    u, came_from = min(adj), None
+    path = [(u, None)]
+    at = {u: 0}  # vertex -> its position on the path
+    while True:
+        w, s = min(((w, s) for w, s in adj[u] if w != came_from),
+                   key=lambda t: t[0], default=(None, None))
+        if s is None:
+            raise LiftError("fractional subgraph unexpectedly acyclic")
+        if w in at:
+            return [(w, None)] + path[at[w] + 1:] + [(w, s)]
+        at[w] = len(path)
+        path.append((w, s))
+        u, came_from = w, u
 
 
 def loop_cancel(chain: PolyChain):
@@ -260,31 +234,20 @@ def loop_cancel(chain: PolyChain):
         if passes >= limit:
             raise LiftError("loop cancellation failed to terminate")
         cycle = _find_cycle(frac)
-        edges = []
-        verts = [v for v, _ in cycle]
-        for i in range(1, len(cycle)):
-            s = cycle[i][1]
-            direction = 1 if verts[i - 1] == s.vertices[0] else -1
-            edges.append((s, direction))
+        # each edge, with +1 where the walk runs along its vertex order
+        edges = [(s, 1 if u == s.vertices[0] else -1)
+                 for (u, _), (_, s) in zip(cycle, cycle[1:])]
         swing = RadicalSum()
-        theta_down = None
-        theta_up = None
         for s, direction in edges:
-            g = frac[s]
-            eff = direction * g
-            down = eff - floor(eff)
-            up = 1 - down
-            theta_down = down if theta_down is None else min(theta_down, down)
-            theta_up = up if theta_up is None else min(theta_up, up)
-            sgn = 1 if g > 0 else -1
-            swing = swing + s.volume() * (direction * sgn)
-        if swing.sign() >= 0:
-            theta = theta_down
-        else:
-            theta = -theta_up
-        delta = PolyChain.build(REAL, chain.ambient_dim, 1,
-                                [(s.vertices, theta * direction) for s, direction in edges],
-                                complex=current.complex)
+            swing = swing + s.volume() * (direction if frac[s] > 0 else -direction)
+        # theta is the least shift along the walk that makes some edge's
+        # coefficient an integer: down when the swing is >= 0, else up
+        downs = [direction * frac[s] % 1 for s, direction in edges]
+        theta = min(downs) if swing.sign() >= 0 else max(downs) - 1
+        # the cycle's edges are distinct terms and theta != 0, so nothing
+        # merges or drops
+        delta = PolyChain(REAL, chain.ambient_dim, 1,
+                          {s: theta * direction for s, direction in edges}, current.complex)
         updated = current - delta
         if (updated.mass_exact() - current.mass_exact()).sign() > 0:
             raise LiftError("loop subtraction increased mass")
@@ -306,8 +269,8 @@ def fill_boundary(cycle: PolyChain) -> PolyChain:
     codimension-one cycle (coefficients in the circle group).
 
     Starts at the cell of an outer face, whose value that face fixes,
-    propagates cell values across interior faces, then verifies the
-    boundary identity exactly."""
+    propagates cell values across faces (incidence rows to coboundary),
+    then verifies the boundary identity exactly."""
     if cycle.group.tag != "circle":
         raise LiftError("fill expects circle coefficients")
     complex = cycle.complex
@@ -317,34 +280,24 @@ def fill_boundary(cycle: PolyChain) -> PolyChain:
     if cycle.dim != d - 1:
         raise LiftError("fill expects a codimension-one chain")
     z = complex.chain_vector(cycle)
-    cob = complex.coboundary(d - 1)
-    n_top = complex.count(d)
-
-    adjacency: list[list] = [[] for _ in range(n_top)]
-    pin = None
-    for face_id, cofs in enumerate(cob):
-        if len(cofs) == 2:
-            (c1, r1), (c2, r2) = cofs
-            adjacency[c1].append((c2, face_id, r1, r2))
-            adjacency[c2].append((c1, face_id, r2, r1))
-        elif len(cofs) == 1 and pin is None:
-            pin = (face_id, cofs[0])
-
+    incidence, cob = complex.incidence(d), complex.coboundary(d - 1)
+    pin = next((f for f, cofs in enumerate(cob) if len(cofs) == 1), None)
     if pin is None:
         raise LiftError("no outer face to pin the constant")
     # the frame outside the box is zero, so the outer face fixes its cell:
     # r*s_root = z
-    face_id, (root, r) = pin
-    values = [None] * n_top
-    values[root] = r * z[face_id]
+    root, r = cob[pin][0]
+    values = [None] * complex.count(d)
+    values[root] = r * z[pin]
     queue = [root]
     while queue:
         c1 = queue.pop()
-        for c2, face_id, r1, r2 in adjacency[c1]:
-            if values[c2] is None:
-                # r1*s1 + r2*s2 = z  =>  s2 = r2*(z - r1*s1)
-                values[c2] = r2 * (z[face_id] - r1 * values[c1])
-                queue.append(c2)
+        for face_id, r1 in incidence[c1]:
+            for c2, r2 in cob[face_id]:
+                if values[c2] is None:
+                    # r1*s1 + r2*s2 = z  =>  s2 = r2*(z - r1*s1)
+                    values[c2] = r2 * (z[face_id] - r1 * values[c1])
+                    queue.append(c2)
     if any(v is None for v in values):
         raise LiftError("dual graph is not connected")
     fill = complex.chain_from_vector(CIRCLE, d, values)
@@ -428,7 +381,7 @@ def lift_flat(chain: PolyChain, epsilon=Fraction(1, 10)):
             defect = whole
         else:
             if k == 1:
-                rest, _ = disjoint_representative(chain, ApproxBudget(epsilon=epsilon))
+                rest, _ = disjoint_representative(chain, epsilon)
             else:
                 rest = chain
             defect = whole - lift_coefficientwise(rest)

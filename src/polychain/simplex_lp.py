@@ -11,8 +11,9 @@ Two independent routes:
   Callers supply a starting basis whose columns form an identity in A and a
   nonnegative right-hand side, so no phase-1 is ever needed (the flat-norm
   programs always have one: split slack columns indexed by the sign of b).
-  Bland's rule picks the pivots; each pivot touches only the pivot row's
-  nonzero columns.
+  Bland's rule picks the pivots.  Each tableau step is `geometry.pivot`,
+  the step `gauss_jordan` takes too, which touches only the pivot row's
+  nonzero columns; the objective row is updated beside it.
 
 ``check_certificate`` re-derives optimality of a basis from the raw data
 (basic solution feasible, all reduced costs nonnegative) without reusing
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import solve_linear
+from .geometry import pivot, solve_linear
 from .radicals import RadicalSum
 
 
@@ -110,19 +111,10 @@ def solve_exact(a_rows, b, c, basis):
                     best, best_ratio = i, ratio
         if best < 0:
             raise Unbounded("objective unbounded below")
-        # Rows are updated in place, and only at the pivot row's nonzero
-        # columns: every other entry of an update would subtract zero.
+        # the tableau step is geometry.pivot; the objective row, which holds
+        # RadicalSums, follows at the pivot row's nonzero columns
+        nz = pivot(t, best, entering)
         prow = t[best]
-        nz = [j for j, v in enumerate(prow) if v]
-        piv = prow[entering]
-        if piv != 1:
-            for j in nz:
-                prow[j] /= piv
-        for i, row in enumerate(t):
-            f = row[entering]
-            if f and i != best:
-                for j in nz:
-                    row[j] -= f * prow[j]
         ze = z[entering]
         if not ze.is_zero():
             for j in (nz[:-1] if prow[n] else nz):

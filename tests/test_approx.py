@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from polychain.approx import (ApproxBudget, ApproxError, cycle_extension,
-                              disjoint_representative, measured_shrink_distance,
-                              shrink_toward, singular_translate, telescope)
+from polychain import approx
+from polychain.approx import (ApproxError, cycle_extension, disjoint_representative,
+                              measured_shrink_distance, shrink_toward,
+                              singular_translate, telescope)
 from polychain.chainfile import save_chain
 from polychain.chains import PolyChain, pushforward
 from polychain.cli import main
@@ -90,7 +91,7 @@ def test_disjoint_representative_contract():
     eps = F(1, 10)
     for seed in (0, 7):
         ch = random_chain(seed, 2, 2, 1, terms=5)
-        rep, report = disjoint_representative(ch, ApproxBudget(epsilon=eps))
+        rep, report = disjoint_representative(ch, eps)
         assert rep.boundary() == ch.boundary()
         m = ch.mass_exact()
         bound = m * (1 + eps) + report.epsilon_terminal
@@ -169,16 +170,17 @@ def test_disjoint_representative_of_a_cycle_is_one_stage():
     assert report.epsilon_terminal.is_zero()
 
 
-def test_disjoint_representative_edge_cases():
+def test_disjoint_representative_edge_cases(monkeypatch):
     zero = PolyChain.zero(REAL, 2, 1, complex=grid_complex(2, 2))
     rep, report = disjoint_representative(zero)
     assert rep.is_zero() and not report.stages
     top = grid_complex(2, 1).full_chain(REAL)
     with pytest.raises(ApproxError):
         disjoint_representative(top)
+    monkeypatch.setattr(approx, "MAX_STAGES", 1)
     with pytest.raises(ApproxError):
         ch = random_chain(1, 2, 2, 1, terms=4)
-        disjoint_representative(ch, ApproxBudget(max_stages=1))
+        disjoint_representative(ch)
 
 
 def test_cycle_extension_contract():

@@ -483,6 +483,23 @@ def test_oversized_grid_function_is_refused_before_its_values_are_read(tmp_path,
     assert parsed == [] and built == []
 
 
+@pytest.mark.parametrize("header", ["3000000 7", "4 2"])
+def test_grid_function_dimension_is_refused_before_the_cell_count(header, tmp_path, capsys):
+    # n ** d for the first header has about 2.5 million digits; the
+    # dimension check comes before it, and before the value count
+    path = tmp_path / "wide.grid"
+    path.write_text(header + "\n1 2 3\n")
+    code, out, err = run(capsys, "decompose-levels", str(path))
+    assert (code, out, err) == (2, "", "error [grid]: ambient dimension must be 1, 2 or 3\n")
+
+
+def test_gen_function_refuses_the_dimension_before_the_cell_count(tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "function", "--grid", "30000000,7",
+                         "--out", str(tmp_path / "f.grid"))
+    assert (code, out, err) == (2, "", "error [grid]: ambient dimension must be 1, 2 or 3\n")
+    assert not (tmp_path / "f.grid").exists()
+
+
 def test_main_runs_the_handler_the_module_holds_at_dispatch(tmp_path, capsys, monkeypatch):
     path = tmp_path / "seg.json"
     path.write_text(HALF_SEGMENT)

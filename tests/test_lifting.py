@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from polychain import lifting
 from polychain.chains import PolyChain
 from polychain.gen import (random_chain, random_circle_chain, random_circle_top,
                            random_integral_boundary_chain)
@@ -204,6 +205,78 @@ def test_loop_cancel_computes_each_mass_and_boundary_once(monkeypatch):
         assert calls == {"mass": report.passes + 1, "boundary": 2}
 
 
+def _dfs_cycle(frac_terms):
+    """The depth-first search that `lifting._find_cycle` replaced, kept as
+    its reference: the least vertex's first back edge closes the loop."""
+    adj: dict = {}
+    for s in frac_terms:
+        a, b = s.vertices
+        adj.setdefault(a, []).append((b, s))
+        adj.setdefault(b, []).append((a, s))
+    for v in adj:
+        adj[v].sort(key=lambda t: t[0])
+    root = min(adj)
+    path = [(root, None)]
+    in_path = {root: 0}
+    iters = [iter(adj[root])]
+    visited = {root}
+    while iters:
+        advanced = False
+        for w, s in iters[-1]:
+            if len(path) >= 2 and w == path[-2][0]:
+                continue
+            if w in in_path:
+                start = in_path[w]
+                cycle = [(path[i][0], path[i][1]) for i in range(start + 1, len(path))]
+                return [(w, None)] + cycle + [(w, s)]
+            if w not in visited:
+                visited.add(w)
+                in_path[w] = len(path)
+                path.append((w, s))
+                iters.append(iter(adj[w]))
+                advanced = True
+                break
+        if not advanced:
+            vtx, _ = path.pop()
+            del in_path[vtx]
+            iters.pop()
+    raise LiftError("fractional subgraph unexpectedly acyclic")
+
+
+CYCLE_GRIDS = ((2, 2), (2, 3), (2, 5), (3, 1), (3, 2))
+
+
+def test_cycle_walk_matches_the_depth_first_search():
+    for d, n in CYCLE_GRIDS:
+        for seed in range(60):
+            ch = random_integral_boundary_chain(seed, d, n, 1)
+            frac = {s: c for s, c in ch.terms.items() if c.denominator != 1}
+            assert lifting._find_cycle(frac) == _dfs_cycle(frac), (d, n, seed)
+
+
+def test_cycle_walk_matches_the_search_on_every_loop_cancel_pass(monkeypatch):
+    walk = lifting._find_cycle
+    passes = []
+
+    def checked(frac):
+        cycle = walk(frac)
+        assert cycle == _dfs_cycle(frac)
+        passes.append(len(cycle))
+        return cycle
+    monkeypatch.setattr(lifting, "_find_cycle", checked)
+    for d, n in CYCLE_GRIDS:
+        for seed in range(8):
+            loop_cancel(random_integral_boundary_chain(seed, d, n, 1, terms=8))
+    assert len(passes) > 40
+
+
+def test_cycle_walk_refuses_a_dangling_edge():
+    verts = ((F(0), F(0)), (F(1), F(0)))
+    dangling = PolyChain.build(REAL, 2, 1, [(verts, F(1, 3))])
+    with pytest.raises(LiftError, match="unexpectedly acyclic"):
+        lifting._find_cycle(dangling.terms)
+
+
 def test_loop_cancel_rejects_bad_inputs():
     cx = grid_complex(2, 1)
     verts = ((F(0), F(0)), (F(1), F(0)))
@@ -229,9 +302,10 @@ def test_fill_of_zero_cycle_is_zero():
 
 
 def test_fill_round_trips_random_tops():
-    for seed in range(4):
-        top = random_circle_top(seed, 2, 3)
-        assert fill_boundary(top.boundary()) == top
+    for d, n in ((1, 6), (2, 3), (3, 2)):
+        for seed in range(4):
+            top = random_circle_top(seed, d, n)
+            assert fill_boundary(top.boundary()) == top, (d, n, seed)
 
 
 def test_fill_rejects_bad_inputs():
