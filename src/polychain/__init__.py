@@ -15,11 +15,10 @@ from .approx import (ApproxError, StageReport, cycle_extension,
 from .chainfile import (ChainFileError, emit_chain, emit_grid_function,
                         load_chain, load_grid_function, parse_chain,
                         parse_grid_function, save_chain, save_grid_function)
-from .chains import ChainError, PolyChain, cone, prism, pushforward, subdivide
+from .chains import ChainError, PolyChain, prism, pushforward, subdivide
 from .coarea import (CoareaReport, GridFunction, LevelSlice,
                      function_boundary, level_slices, verify_coarea)
-from .flatnorm import (CertificateError, FlatWitness, flat_distance,
-                       flat_norm, flat_norm_oracle)
+from .flatnorm import CertificateError, FlatWitness, flat_norm, flat_norm_oracle
 from .geometry import AffineMap, GeometryError, Simplex
 from .grid import GridComplex, GridError, embed_on, grid_complex
 from .groups import (CIRCLE, INTEGER, REAL, GroupError, ModPGroup, project,
@@ -39,11 +38,10 @@ __all__ = [
     "ChainFileError", "emit_chain", "emit_grid_function", "load_chain",
     "load_grid_function", "parse_chain", "parse_grid_function", "save_chain",
     "save_grid_function",
-    "ChainError", "PolyChain", "cone", "prism", "pushforward", "subdivide",
+    "ChainError", "PolyChain", "prism", "pushforward", "subdivide",
     "CoareaReport", "GridFunction", "LevelSlice", "function_boundary",
     "level_slices", "verify_coarea",
-    "CertificateError", "FlatWitness", "flat_distance", "flat_norm",
-    "flat_norm_oracle",
+    "CertificateError", "FlatWitness", "flat_norm", "flat_norm_oracle",
     "AffineMap", "GeometryError", "Simplex",
     "GridComplex", "GridError", "embed_on", "grid_complex",
     "CIRCLE", "INTEGER", "REAL", "GroupError", "ModPGroup", "project",

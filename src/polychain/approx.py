@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .chainfile import check_grid_size
 from .chains import ChainError, PolyChain, prism, pushforward
 from .flatnorm import flat_norm, _replay_ok
 from .geometry import AffineMap, is_tangent, overlap_dim_at_least
@@ -75,40 +76,23 @@ class StageReport:
 # scaling homotopy
 
 
-def _bbox_of_chain(chain: PolyChain, extra_point=None):
-    points = [v for s in chain.terms for v in s.vertices]
-    if extra_point is not None:
-        points.append(tuple(Fraction(x) for x in extra_point))
-    if not points:
-        return None
-    lo = tuple(min(p[i] for p in points) for i in range(chain.ambient_dim))
-    hi = tuple(max(p[i] for p in points) for i in range(chain.ambient_dim))
-    return lo, hi
-
-
-def _box_diameter(lo, hi) -> RadicalSum:
-    return RadicalSum.sqrt_rational(sum((b - a) ** 2 for a, b in zip(lo, hi)))
-
-
 def shrink_toward(chain: PolyChain, center, ratio) -> tuple[PolyChain, float]:
-    """Homothety x -> center + ratio*(x - center) applied to the chain.
+    """Homothety x -> center + ratio*(x - center) applied to a grid chain.
 
     Returns the image (a free chain; mass scales by ratio^k exactly) and
     the closed-form flat-distance bound
     2*(1-ratio)*diam(K)*(mass + boundary mass).
     """
+    if chain.complex is None:
+        raise ChainError("shrink needs a complex-backed chain")
     ratio = Fraction(ratio)
     if not 0 < ratio <= 1:
         raise ApproxError("shrink ratio must lie in (0, 1]")
     center = tuple(Fraction(x) for x in center)
-    if chain.complex is not None:
-        lo, hi = chain.complex.bbox()
-        if not all(a < c < b for a, c, b in zip(lo, center, hi)):
-            raise ApproxError("center must lie in the open box")
-        diam = chain.complex.diameter()
-    else:
-        box = _bbox_of_chain(chain, center)
-        diam = _box_diameter(*box) if box else RadicalSum()
+    lo, hi = chain.complex.bbox()
+    if not all(a < c < b for a, c, b in zip(lo, center, hi)):
+        raise ApproxError("center must lie in the open box")
+    diam = chain.complex.diameter()
     if ratio == 1:
         return chain, 0.0
     image = pushforward(chain, AffineMap.homothety(center, ratio))
@@ -321,7 +305,7 @@ def cycle_extension(chain: PolyChain, epsilon=Fraction(1, 10)):
 def telescope(chain_list, delta: float = 1e-6):
     """Decompose the last member of a flat-Cauchy family against the first.
 
-    Requires flat_distance(P[h+1], P[h]) <= (1 + delta) * 2^(-h-1) as
+    Requires flat_norm(P[h+1] - P[h]) <= (1 + delta) * 2^(-h-1) as
     measured by the LP.  Returns (R, S, partial_masses) with
     P[-1] = R + boundary(S) exactly; partial_masses lists the masses of
     the running normal approximants.
@@ -363,9 +347,9 @@ def measured_shrink_distance(chain: PolyChain, ratio=Fraction(1, 2)):
     ratio = Fraction(ratio)
     if not 0 < ratio < 1:
         raise ApproxError("ratio must lie in (0, 1)")
-    center = _box_center(complex)
-    image, bound = shrink_toward(chain, center, ratio)
     fine_res = 2 * ratio.denominator * complex.resolution
+    check_grid_size(complex.ambient_dim, fine_res, "shrink refinement")
+    image, bound = shrink_toward(chain, _box_center(complex), ratio)
     fine = grid_complex(complex.ambient_dim, fine_res)
     a = embed_on(fine, chain)
     b = embed_on(fine, image)

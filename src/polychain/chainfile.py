@@ -274,9 +274,16 @@ def save_chain(chain: PolyChain, path: str):
         fp.write(emit_chain(chain))
 
 
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fp:
+        try:
+            return fp.read()
+        except UnicodeDecodeError as exc:
+            raise ChainFileError("%s: not UTF-8 text (byte %d)" % (path, exc.start)) from None
+
+
 def load_chain(path: str) -> PolyChain:
-    with open(path) as fp:
-        return parse_chain(fp.read())
+    return parse_chain(_read_text(path))
 
 
 def emit_slices(slices) -> str:
@@ -335,5 +342,4 @@ def save_grid_function(u: GridFunction, path: str):
 
 
 def load_grid_function(path: str) -> GridFunction:
-    with open(path) as fp:
-        return parse_grid_function(fp.read())
+    return parse_grid_function(_read_text(path))

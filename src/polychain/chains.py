@@ -11,7 +11,7 @@ caller.
 
 Zero-volume simplices with distinct vertices are kept as formal terms: they
 carry no mass but their faces matter for exact boundary identities (prism
-and cone constructions rely on this).
+constructions rely on this).
 
 The free backend ("soup") performs no geometric merging: simplices that
 overlap without being identical coexist, so a soup mass is an upper bound
@@ -28,7 +28,6 @@ pushforward by x -> r*x + b with r > 0 maps each term's simplex with
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 from math import lcm
 
@@ -271,17 +270,8 @@ class PolyChain:
     # -- restriction -----------------------------------------------------------
 
     def restrict(self, keep) -> "PolyChain":
-        """Sub-chain on a set of carrying simplices (exact term filter)."""
-        keep_set = set()
-        for item in keep:
-            if isinstance(item, Simplex):
-                keep_set.add(item)
-            elif isinstance(item, int):
-                if self.complex is None:
-                    raise ChainError("integer ids need a complex-backed chain")
-                keep_set.add(self.complex.simplex(self.dim, item))
-            else:
-                keep_set.add(Simplex(canonical(item)[0]))
+        """Sub-chain on a set of carrying Simplex objects (exact term filter)."""
+        keep_set = set(keep)
         terms = {s: c for s, c in self.terms.items() if s in keep_set}
         return PolyChain(self.group, self.ambient_dim, self.dim, terms, self.complex)
 
@@ -293,37 +283,10 @@ class PolyChain:
 def pushforward(chain: PolyChain, f: AffineMap) -> PolyChain:
     """Image chain under an affine map; output is soup.
 
-    With f's scale r > 0 the map is injective and keeps vertex order, so
-    the terms map one to one, in order, through `Simplex.moved`; any other
-    scale goes through `PolyChain.build`, which sorts and merges."""
-    if f.scale > 0:
-        return PolyChain(chain.group, chain.ambient_dim, chain.dim,
-                         {s.moved(f): c for s, c in chain.terms.items()})
-    items = [(f.apply_vertices(s.vertices), c) for s, c in chain.terms.items()]
-    return PolyChain.build(chain.group, chain.ambient_dim, chain.dim, items)
-
-
-def cone(apex, chain: PolyChain) -> PolyChain:
-    """Join with an apex point: dim k -> k+1, soup output.
-
-    Degenerate cone simplices (apex in a term's affine hull) are dropped
-    with a warning, per contract; the boundary identity
-    boundary(cone(p, c)) = c - cone(p, boundary(c)) holds whenever no term
-    degenerates.
-    """
-    apex = geometry.as_point(apex)
-    items = []
-    dropped = 0
-    for s, c in chain.terms.items():
-        verts = (apex,) + s.vertices
-        test = Simplex(verts)
-        if len(set(verts)) == len(verts) and test.is_degenerate():
-            dropped += 1
-            continue
-        items.append((verts, c))
-    if dropped:
-        warnings.warn("cone: dropped %d degenerate simplices" % dropped)
-    return PolyChain.build(chain.group, chain.ambient_dim, chain.dim + 1, items)
+    f's scale is positive, so the map is injective and keeps vertex order,
+    and the terms map one to one, in order, through `Simplex.moved`."""
+    return PolyChain(chain.group, chain.ambient_dim, chain.dim,
+                     {s.moved(f): c for s, c in chain.terms.items()})
 
 
 def prism(chain: PolyChain, from_map: AffineMap, to_map: AffineMap) -> PolyChain:

@@ -387,11 +387,11 @@ def main(argv=None) -> int:
         if out is not None and args.out:
             save_chain(out, args.out)
             rep.add("out", args.out)
+        rep.write(sys.stdout, args.report)
     except _CAUGHT as exc:
         code, module = next((code, module) for klass, code, module in _ERRORS
                             if isinstance(exc, klass))
         print("error [%s]: %s" % (module, str(exc) or type(exc).__name__),
               file=sys.stderr)
         return code
-    rep.write(sys.stdout, args.report)
     return 0 if rep.passed else 2

@@ -178,10 +178,3 @@ def flat_norm_oracle(chain: PolyChain) -> FlatWitness:
         raise ChainError("oracle witness failed to replay")
     return FlatWitness(value=float(obj), value_exact=obj, residual=residual, filling=filling)
 
-
-def flat_distance(a: PolyChain, b: PolyChain, exact: bool = False) -> FlatWitness:
-    """Flat norm of a - b; both chains must live on one complex."""
-    diff = a - b
-    if diff.complex is None:
-        raise ChainError("flat distance needs both chains on one complex")
-    return flat_norm_oracle(diff) if exact else flat_norm(diff)

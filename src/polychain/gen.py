@@ -83,20 +83,24 @@ def random_integral_boundary_chain(seed, d: int, n: int, k: int,
     raise GenError("could not generate a fractional chain with integral boundary")
 
 
-def random_circle_top(seed, d: int, n: int, density: float = 0.7) -> PolyChain:
+# Share of the cubes a random circle top covers, on average.
+CIRCLE_TOP_DENSITY = 0.7
+
+
+def random_circle_top(seed, d: int, n: int) -> PolyChain:
     """Circle-coefficient top chain: a random subset of cells, one circle
     coefficient per cell."""
     rng = _rng(seed)
     complex = grid_complex(d, n)
     pairs = []
     for cube in complex.cubes():
-        if rng.random() >= density:
+        if rng.random() >= CIRCLE_TOP_DENSITY:
             continue
         pairs += complex.top_pairs(CIRCLE, complex.tops_of_cube(cube),
                                    random_coeff(rng, CIRCLE))
     chain = complex.chain_from_ids(CIRCLE, d, pairs)
     if chain.is_zero():
-        return random_circle_top(rng, d, n, density)
+        return random_circle_top(rng, d, n)
     return chain
 
 

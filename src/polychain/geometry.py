@@ -17,8 +17,8 @@ the exact LP tableau (`simplex_lp.solve_exact`).  `det` expands cofactors
 in closed form up to 3x3 (Gram matrices of simplices in R^3 and below) and
 calls `gauss_jordan` above that.
 
-`AffineMap` is the scalar map x -> r*x + b, the only kind the
-approximation pipeline moves chains by.  With r > 0 it keeps the
+`AffineMap` is the scalar map x -> r*x + b with r > 0, the only kind the
+approximation pipeline moves chains by.  Such a map keeps the
 lexicographic order of vertices, so `Simplex.moved` builds the image
 simplex directly, already canonical, and carries the squared volume
 (times r^(2k)) and the H-description over exactly instead of recomputing
@@ -280,8 +280,6 @@ class Simplex:
         but derived again from the squared volume, so it prints as a
         recomputed one does.  What is not known here is left to compute."""
         r, b = f.scale, f.shift
-        if r <= 0:
-            raise GeometryError("moved needs a map with positive scale")
         sqvol, vol, hull = self._sqvol, self._vol, self._hull
         if r == 1:
             verts = tuple([tuple([x + t for x, t in zip(v, b)]) for v in self.vertices])
@@ -328,13 +326,15 @@ def faces(vertices):
 
 
 class AffineMap:
-    """x -> r*x + b with exact rational r and b: the identity, homotheties,
+    """x -> r*x + b with exact rational r > 0 and b: the identity, homotheties,
     translations and their composites, the only maps the pipeline builds."""
 
     __slots__ = ("scale", "shift")
 
     def __init__(self, scale, shift):
         self.scale = Fraction(scale)
+        if self.scale <= 0:
+            raise GeometryError("affine map needs a positive scale, got %s" % self.scale)
         self.shift = as_point(shift)
 
     @classmethod
@@ -362,9 +362,6 @@ class AffineMap:
             return tuple(x + s for x, s in zip(p, self.shift))
         return tuple(r * x + s for x, s in zip(p, self.shift))
 
-    def apply_vertices(self, vertices) -> Vertices:
-        return tuple(self(v) for v in vertices)
-
     def __repr__(self):
         return "AffineMap(%r, %r)" % (self.scale, self.shift)
 
@@ -380,18 +377,13 @@ def _dot(u, v):
 def is_tangent(direction, simplex: Simplex) -> bool:
     """True iff the direction vector lies in the simplex's edge span.
 
-    Every vector is tangent to a top-dimensional simplex; the zero vector is
-    tangent to everything.  On a non-degenerate simplex the hull's equality
-    normals span the complement of the edge span, so the test is n.v == 0
-    for each of them; a degenerate simplex has no hull and compares ranks.
+    The hull's equality normals span the complement of the edge span, so
+    the test is n.v == 0 for each of them: every vector is tangent to a
+    top-dimensional simplex, and the zero vector to every simplex.  A
+    degenerate simplex has no hull and raises GeometryError.
     """
     vec = [Fraction(c) for c in direction]
-    if all(c == 0 for c in vec):
-        return True
-    if not simplex.is_degenerate():
-        return all(_dot(n, vec) == 0 for n, _ in simplex.hull()[0])
-    rows = [list(e) for e in simplex.edges()]
-    return mat_rank(rows + [vec]) == mat_rank(rows)
+    return all(_dot(n, vec) == 0 for n, _ in simplex.hull()[0])
 
 
 def _hull_constraints(s: Simplex):

@@ -356,10 +356,6 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
         raise GridError("ambient dimension mismatch")
     k = chain.dim
     group = chain.group
-    if k == 0 or chain.complex is not None and chain.complex.resolution == target.resolution:
-        # index_of raises for a term off the target lattice
-        return target.chain_from_ids(group, k, [(target.index_of(k, s), c)
-                                                for s, c in chain.terms.items()])
     fine = target.simplices(k)
     by_cube = target.cells_of_cube(k)
     n = target.resolution

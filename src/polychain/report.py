@@ -39,8 +39,10 @@ class Report:
         return "\n".join(self.lines + ["VERDICT = " + verdict]) + "\n"
 
     def write(self, stream, path=None):
+        """Write the report to `path`, if given, then to the stream, so a
+        path that cannot be written stops before anything is printed."""
         body = self.text()
-        stream.write(body)
         if path:
             with open(path, "w") as fp:
                 fp.write(body)
+        stream.write(body)

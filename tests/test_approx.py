@@ -9,8 +9,8 @@ from polychain import approx
 from polychain.approx import (ApproxError, cycle_extension, disjoint_representative,
                               measured_shrink_distance, shrink_toward,
                               singular_translate, telescope)
-from polychain.chainfile import save_chain
-from polychain.chains import PolyChain, pushforward
+from polychain.chainfile import MAX_GRID_SIMPLICES, InputLimitError, save_chain
+from polychain.chains import ChainError, PolyChain, pushforward
 from polychain.cli import main
 from polychain.gen import random_chain, random_cycle
 from polychain.geometry import AffineMap, overlap_dim_at_least
@@ -62,6 +62,9 @@ def test_shrink_validates_inputs():
         shrink_toward(ch, CENTER, F(3, 2))
     with pytest.raises(ApproxError):
         shrink_toward(ch, (F(2), F(2)), F(1, 2))  # center outside the box
+    free = PolyChain.build(REAL, 2, 1, [(((F(0), F(0)), (F(1), F(0))), F(1))])
+    with pytest.raises(ChainError):
+        shrink_toward(free, CENTER, F(1, 2))
 
 
 def test_singular_translate_clears_overlaps():
@@ -234,3 +237,15 @@ def test_measured_shrink_distance_respects_the_bound():
     lp2, bound2 = measured_shrink_distance(edge, F(1, 2))
     assert lp2 <= bound2 + 1e-9
     assert lp2 > 0
+
+
+def test_measured_shrink_distance_refuses_an_oversized_refinement(monkeypatch):
+    # ratio 1/40 on n = 2 asks for the n = 160 refinement of R^3: 24,576,000
+    # top simplices, refused before anything builds it
+    built = []
+    monkeypatch.setattr(approx, "grid_complex", lambda *args: built.append(args))
+    chain = random_chain(1, 3, 2, 2)
+    assert 160 ** 3 * 6 > MAX_GRID_SIMPLICES
+    with pytest.raises(InputLimitError, match=r"shrink refinement: n=160 in R\^3"):
+        measured_shrink_distance(chain, F(1, 40))
+    assert built == []

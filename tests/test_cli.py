@@ -177,6 +177,26 @@ def test_missing_file_is_an_io_error(tmp_path, capsys):
     assert err.startswith("error [cli]:")
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_an_unwritable_report_path_is_an_io_error(where, tmp_path, capsys):
+    path = tmp_path / "seg.json"
+    path.write_text(HALF_SEGMENT)
+    report = tmp_path if where == "a directory" else tmp_path / "absent" / "r.txt"
+    code, out, err = run(capsys, "mass", str(path), "--report", str(report))
+    assert (code, out) == (1, "")
+    assert err.startswith("error [cli]:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, name", [("mass", "c.json"),
+                                           ("decompose-levels", "u.grid")])
+def test_input_that_is_not_utf8_is_a_parse_error(command, name, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(b"2 1\n\xff\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error [cli]: %s: not UTF-8 text (byte 4)\n" % path
+
+
 def test_oversized_rational_is_refused_with_exit_2(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(HALF_SEGMENT.replace('"1/2"', '"1e200000"'))
