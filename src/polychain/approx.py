@@ -21,11 +21,12 @@ costs no more than a prism to f followed by one to tau (Federer, GMT
 
 Shrinks and translations have positive scale, so `pushforward` moves each
 term with `Simplex.moved`: the image keeps its squared volume (times
-r^(2k)) and its H-description, and is never rebuilt.  The shrunken copy's
-hulls are computed once, when `_pick_direction` tests tangency against
-their equality normals, and every trial translation in
-`singular_translate` carries them to the images its overlap tests read;
-the images that pass are the moved chain.  Each stage chain keeps its mass
+r^(2k)) and its known affine-hull equalities, and is never rebuilt.  The
+shrunken copy's equalities are computed once, when `_pick_direction` tests
+tangency against their normals, and every trial translation in
+`singular_translate` carries them to the images its overlap tests read.
+Those tests build the barycentric inequalities only for a pair the
+equalities do not settle.  The images that pass are the moved chain.  Each stage chain keeps its mass
 and boundary (`PolyChain` memoizes them), so the stage loop and the final
 checks compute each once.
 """

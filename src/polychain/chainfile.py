@@ -27,7 +27,8 @@ rationals in row-major order (the function is zero outside the unit box).
 
 ChainFileError marks structural problems (malformed document, bad rational,
 unknown field); InputLimitError marks well-formed input past a named size
-limit (MAX_RATIONAL_DIGITS, MAX_GRID_SIMPLICES, MAX_EXACT_LP_ROWS); semantic
+limit (MAX_RATIONAL_DIGITS, MAX_GRID_SIMPLICES, MAX_EXACT_LP_ROWS,
+MAX_FLOAT_LP_ENTRIES); semantic
 violations raised while building the chain (wrong coefficient for the group,
 simplex off the grid) propagate from the core modules unchanged so callers
 can tell them apart.
@@ -71,6 +72,14 @@ MAX_GRID_SIMPLICES = 20000
 # Bland's rule over Fractions grows fast with the grid: d=2 n=8 k=1
 # (208 rows) takes about 1 s, d=3 n=3 k=1 (279 rows) about 6 s.
 MAX_EXACT_LP_ROWS = 256
+
+# Largest flat-norm program the float route (flat_norm, `flatnorm`) may
+# solve, in entries of its dense matrix: rows x (2 rows + 2 (k+1)-cells),
+# 8 bytes each, so 1 GiB here.  It admits a 1-chain on grids up to d=2
+# n=45 (d=2 n=40: 78.9M entries) and a 1- or 2-chain up to d=3 n=8 (125M
+# for the 2-chain), and refuses d=2 n=60 (396M, 3.2 GB), which
+# MAX_GRID_SIMPLICES would otherwise allow.
+MAX_FLOAT_LP_ENTRIES = 2 ** 27
 
 
 # -- rationals ------------------------------------------------------------

@@ -16,9 +16,11 @@ basis, so it never needs a phase-1.
 
 Two deliberately independent routes:
 
-* ``flat_norm``: HiGHS dual simplex on the float program; the filling is
-  snapped to small rationals and the residual recomputed exactly, so the
-  returned witness satisfies R + boundary(Q) = P as an exact chain identity.
+* ``flat_norm``: HiGHS dual simplex (`simplex_lp.solve_float`, one direct
+  call) on the dense float program, whose size chainfile.MAX_FLOAT_LP_ENTRIES
+  bounds; the filling is snapped to small rationals and the residual
+  recomputed exactly, so the returned witness satisfies R + boundary(Q) = P
+  as an exact chain identity.
 * ``flat_norm_oracle``: exact simplex over Fractions with exact volume
   objective, plus a from-scratch optimality certificate on the raw data.
 
@@ -121,18 +123,33 @@ def _replay_ok(chain: PolyChain, residual: PolyChain, filling: PolyChain) -> boo
 def flat_norm(chain: PolyChain, snap_denominator: int = 10 ** 6) -> FlatWitness:
     """Float-route flat norm with an exactly replaying witness.
 
+    Programs whose dense matrix would pass chainfile.MAX_FLOAT_LP_ENTRIES
+    entries are refused with InputLimitError before any of the program is
+    built.  Each distinct volume object is converted to float once: the
+    cells of one grid shape share one.
+
     numpy is imported here, as scipy is in simplex_lp.solve_float, so only
     a float LP pays for loading it."""
     import numpy as np
 
     _require_real(chain)
+    complex, k = chain.complex, chain.dim
+    rows = complex.count(k)
+    cols = 2 * rows + (2 * complex.count(k + 1) if k < complex.ambient_dim else 0)
+    if rows * cols > chainfile.MAX_FLOAT_LP_ENTRIES:
+        raise chainfile.InputLimitError(
+            "float flat norm: %d LP rows x %d columns = %d entries exceed "
+            "MAX_FLOAT_LP_ENTRIES = %d"
+            % (rows, cols, rows * cols, chainfile.MAX_FLOAT_LP_ENTRIES))
     prog = _flat_program(chain)
     nr, nq = prog.nr, prog.nq
 
     a = np.zeros((nr, len(prog.c)))
     a[prog.rows, prog.cols] = prog.vals
+    distinct = {id(v): v for v in prog.c}
+    as_float = {key: float(v) for key, v in distinct.items()}
     x, obj = simplex_lp.solve_float(a, np.array([float(v) for v in prog.b]),
-                                    np.array([float(v) for v in prog.c]))
+                                    np.array([as_float[id(v)] for v in prog.c]))
 
     q_vec = [Fraction(x[2 * nr + j] - x[2 * nr + nq + j]).limit_denominator(snap_denominator)
              for j in range(nq)]

@@ -9,9 +9,11 @@ Tangency and overlap predicates are decided exactly with small rational
 linear algebra (row reduction, vertex enumeration of intersection
 polytopes); no floating point is involved.  They read each simplex's
 H-description from `Simplex.hull`, computed on first use and cached on
-the simplex.  All of that linear algebra, and the basis solves of the LP
-certificate (`simplex_lp.check_certificate`, through `solve_linear`), use
-one elimination kernel: `gauss_jordan`, of which `mat_rank` and
+the simplex; tangency and the cheap overlap tests read only its
+equalities (`Simplex.equalities`), which are computed and cached alone.
+All of that linear algebra, and the basis solves of the LP certificate
+(`simplex_lp.check_certificate`, through `solve_linear`), use one
+elimination kernel: `gauss_jordan`, of which `mat_rank` and
 `solve_linear` are thin wrappers.  Its step, `pivot`, is also the step of
 the exact LP tableau (`simplex_lp.solve_exact`).  `det` expands cofactors
 in closed form up to 3x3 (Gram matrices of simplices in R^3 and below) and
@@ -21,8 +23,8 @@ calls `gauss_jordan` above that.
 approximation pipeline moves chains by.  Such a map keeps the
 lexicographic order of vertices, so `Simplex.moved` builds the image
 simplex directly, already canonical, and carries the squared volume
-(times r^(2k)) and the H-description over exactly instead of recomputing
-them.
+(times r^(2k)) and the known parts of the H-description over exactly
+instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -182,14 +184,15 @@ class Simplex:
     """Oriented k-simplex: ordered rational vertices, orientation = order.
 
     Immutable: the vertices never change after construction, so the hash
-    is computed once, and the squared volume, volume, bounding box and
-    H-description (`hull`) are cached on first use.  Grid complexes hand
-    out one shared object per cell (see GridComplex.intern), so those
-    caches are filled once per cell in a process.  `moved` hands the known
+    is computed once, and the squared volume, volume, bounding box,
+    affine-hull equalities (`equalities`) and H-description (`hull`) are
+    cached on first use.  Grid complexes hand out one shared object per
+    cell (see GridComplex.intern), so those caches are filled once per
+    cell in a process.  `moved` hands the known
     ones on to the image under a map r*x + b with r > 0.
     """
 
-    __slots__ = ("vertices", "_hash", "_sqvol", "_vol", "_bbox", "_hull")
+    __slots__ = ("vertices", "_hash", "_sqvol", "_vol", "_bbox", "_eqs", "_hull")
 
     def __init__(self, vertices):
         verts = tuple(as_point(v) for v in vertices)
@@ -205,20 +208,22 @@ class Simplex:
         self._sqvol = None
         self._vol = None
         self._bbox = None
+        self._eqs = None
         self._hull = None
 
     @classmethod
-    def trusted(cls, vertices, sqvol=None, vol=None, hull=None) -> "Simplex":
+    def trusted(cls, vertices, sqvol=None, vol=None, eqs=None, hull=None) -> "Simplex":
         """The simplex on `vertices`, already a valid tuple of Fraction point
         tuples (a face of a simplex, a grid cell, an image under a map),
-        with its squared volume, volume and H-description where already
-        known; nothing is checked or recomputed."""
+        with its squared volume, volume, equalities and H-description where
+        already known; nothing is checked or recomputed."""
         s = cls.__new__(cls)
         s.vertices = vertices
         s._hash = hash(vertices)
         s._sqvol = sqvol
         s._vol = vol
         s._bbox = None
+        s._eqs = eqs
         s._hull = hull
         return s
 
@@ -260,11 +265,18 @@ class Simplex:
             self._bbox = tuple(map(min, cols)), tuple(map(max, cols))
         return self._bbox
 
+    def equalities(self):
+        """The affine-hull equalities of `hull`, computed once, without the
+        inequalities."""
+        if self._eqs is None:
+            self._eqs = _hull_equalities(self)
+        return self._eqs
+
     def hull(self):
-        """The exact H-description (equalities, inequalities) of
-        `_hull_constraints`, computed once."""
+        """The exact H-description (equalities, inequalities), computed once;
+        see `_hull_equalities` and `_hull_inequalities`."""
         if self._hull is None:
-            self._hull = _hull_constraints(self)
+            self._hull = (self.equalities(), _hull_inequalities(self))
         return self._hull
 
     def moved(self, f: "AffineMap") -> "Simplex":
@@ -273,14 +285,15 @@ class Simplex:
         Such a map keeps the lexicographic order of the vertices, so the
         image is canonical with the same orientation.  Its squared volume is
         this one's times r^(2k), the same object when r == 1 (which also
-        shares the volume), and its H-description is this one's carried
-        over exactly: an equality n.x = c becomes n.y = r*c + n.b, an
-        inequality a.x >= c becomes (a/r).y >= c + (a/r).b.  Both equal
-        what recomputing them on the image gives; a volume is not scaled
-        but derived again from the squared volume, so it prints as a
-        recomputed one does.  What is not known here is left to compute."""
+        shares the volume), and its equalities and H-description are this
+        one's carried over exactly: an equality n.x = c becomes
+        n.y = r*c + n.b, an inequality a.x >= c becomes
+        (a/r).y >= c + (a/r).b.  Both equal what recomputing them on the
+        image gives; a volume is not scaled but derived again from the
+        squared volume, so it prints as a recomputed one does.  What is not
+        known here is left to compute."""
         r, b = f.scale, f.shift
-        sqvol, vol, hull = self._sqvol, self._vol, self._hull
+        sqvol, vol, eqs, hull = self._sqvol, self._vol, self._eqs, self._hull
         if r == 1:
             verts = tuple([tuple([x + t for x, t in zip(v, b)]) for v in self.vertices])
         else:
@@ -288,14 +301,17 @@ class Simplex:
             vol = None
             if sqvol is not None:
                 sqvol = sqvol * r ** (2 * len(verts) - 2)
-        if hull is not None:
-            eqs, ineqs = hull
+        # hull() fills the equalities first, so a known hull has them too
+        if eqs is not None:
             if r != 1:
                 eqs = [(n, r * c) for n, c in eqs]
+            eqs = tuple([(n, c + _dot(n, b)) for n, c in eqs])
+        if hull is not None:
+            ineqs = hull[1]
+            if r != 1:
                 ineqs = [(tuple([x / r for x in a]), c) for a, c in ineqs]
-            hull = (tuple([(n, c + _dot(n, b)) for n, c in eqs]),
-                    tuple([(a, c + _dot(a, b)) for a, c in ineqs]))
-        return Simplex.trusted(verts, sqvol, vol, hull)
+            hull = (eqs, tuple([(a, c + _dot(a, b)) for a, c in ineqs]))
+        return Simplex.trusted(verts, sqvol, vol, eqs, hull)
 
     def __eq__(self, other):
         if self is other:
@@ -383,49 +399,56 @@ def is_tangent(direction, simplex: Simplex) -> bool:
     degenerate simplex has no hull and raises GeometryError.
     """
     vec = [Fraction(c) for c in direction]
-    return all(_dot(n, vec) == 0 for n, _ in simplex.hull()[0])
+    return all(_dot(n, vec) == 0 for n, _ in simplex.equalities())
 
 
-def _hull_constraints(s: Simplex):
-    """Exact H-description of the simplex.
+def _hull_equalities(s: Simplex):
+    """The affine hull of the simplex as a tuple of (row, rhs) pairs, row a
+    tuple, meaning row . x = rhs: the nullspace of the edge span through the
+    first vertex, empty for a top-dimensional simplex.  A degenerate simplex
+    has no H-description and raises GeometryError.  Callers read it through
+    `Simplex.equalities`, which caches it."""
+    edges = s.edges()
+    k = len(edges)
+    d = s.ambient_dim
+    if k == d:
+        if s.is_degenerate():
+            raise GeometryError("degenerate simplex has no H-description")
+        return ()
+    # nullspace of the edge span: rows n with n.(x - v0) = 0
+    _, null = solve_linear([list(e) for e in edges] or [[Fraction(0)] * d], [Fraction(0)] * max(k, 1))
+    if len(null) != d - k:
+        raise GeometryError("degenerate simplex has no H-description")
+    v0 = s.vertices[0]
+    return tuple([(tuple(n), _dot(n, v0)) for n in null])
 
-    Returns (equalities, inequalities), tuples of (row, rhs) pairs with row
-    a tuple: equalities mean row . x = rhs (affine hull) and inequalities
-    mean row . x >= rhs (barycentric nonnegativity extended off-hull via
-    normal equations; exact on the hull, which is all the intersection
-    code needs).  Callers read it through `Simplex.hull`, which caches it.
-    """
+
+def _hull_inequalities(s: Simplex):
+    """The barycentric inequalities of a non-degenerate simplex, a tuple of
+    (row, rhs) pairs meaning row . x >= rhs (barycentric nonnegativity
+    extended off-hull via normal equations; exact on the hull, which is all
+    the intersection code needs).  Callers read them through `Simplex.hull`,
+    which checks degeneracy first and caches them."""
     v0 = s.vertices[0]
     edges = s.edges()
     k = len(edges)
     d = s.ambient_dim
-    eqs = []
-    if k < d:
-        # nullspace of the edge span: rows n with n.(x - v0) = 0
-        sol = solve_linear([list(e) for e in edges] or [[Fraction(0)] * d], [Fraction(0)] * max(k, 1))
-        _, null = sol
-        for n in null:
-            eqs.append((tuple(n), _dot(n, v0)))
-    ineqs = []
     if k == 0:
-        return tuple(eqs), ()
+        return ()
     gram = [[_dot(e1, e2) for e2 in edges] for e1 in edges]
     # rows of Gram^{-1} E give barycentric coordinates t = G^{-1} E (x - v0)
-    reduced, pivots, _ = gauss_jordan(
-        [row + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(gram)], k)
-    if len(pivots) < k:
-        raise GeometryError("degenerate simplex has no H-description")
+    reduced = gauss_jordan(
+        [row + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(gram)], k)[0]
     ginv = [row[k:] for row in reduced]
     bary_rows = []
     for i in range(k):
         row = tuple(sum(ginv[i][j] * edges[j][c] for j in range(k)) for c in range(d))
         bary_rows.append(row)
     # t_i(x) >= 0 and 1 - sum t_i(x) >= 0
-    for row in bary_rows:
-        ineqs.append((row, _dot(row, v0)))
+    ineqs = [(row, _dot(row, v0)) for row in bary_rows]
     total = tuple(sum(-r[c] for r in bary_rows) for c in range(d))
     ineqs.append((total, _dot(total, v0) - 1))
-    return tuple(eqs), tuple(ineqs)
+    return tuple(ineqs)
 
 
 def _bboxes_disjoint(s1: Simplex, s2: Simplex) -> bool:
@@ -492,7 +515,7 @@ def overlap_dim_at_least(s1: Simplex, s2: Simplex, k: int) -> bool:
         return True
     if _bboxes_disjoint(s1, s2):
         return False
-    eqs = s1.hull()[0] + s2.hull()[0]
+    eqs = s1.equalities() + s2.equalities()
     if eqs:
         rank = _equalities_rank(eqs, s1.ambient_dim)
         if rank is None or s1.ambient_dim - rank < k:

@@ -113,8 +113,10 @@ class CircleGroup(Group):
         return v - (v.numerator // v.denominator)  # v mod 1, in [0,1)
 
     def norm(self, value) -> Fraction:
+        """Distance to the nearest integer, min(v, 1 - v) for v in [0, 1),
+        decided on v's numerator and denominator; v itself on a tie."""
         v = self.normalize(value)
-        return min(v, 1 - v)
+        return 1 - v if 2 * v.numerator > v.denominator else v
 
 
 REAL = RealGroup()

@@ -5,7 +5,8 @@
 Two independent routes:
 
 * ``solve_float``: HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp.
-  10, 2018) through scipy, on a sparse copy of A.
+  10, 2018), one direct call through scipy's binding of it, on the
+  column-wise nonzeros of A.
 * ``solve_exact``: Fraction tableau with an ordered-field objective row
   (entries may be RadicalSum), so degeneracy and optimality tests are exact.
   Callers supply a starting basis whose columns form an identity in A and a
@@ -46,23 +47,64 @@ _MAX_PIVOTS = 200000
 
 def solve_float(a, b, c):
     """Returns (x, objective) for min c.x, a x = b, x >= 0, where `a` is a
-    dense 2-D array; HiGHS's dual simplex solves it on a sparse copy.
+    dense 2-D array.
+
+    One call to HiGHS through scipy's private binding
+    `scipy.optimize._highspy._core`, with the options scipy's
+    `linprog(method="highs-ds")` passes: presolve on, the simplex solver,
+    the dual strategy and no output.  So x and the objective are bit for
+    bit those of that `linprog` call (tests/test_flatnorm.py pins it),
+    without its input cleaning, option checks and duals.  HiGHS's
+    column-wise matrix is built from the nonzeros of `a`, with no dense
+    copy.  Only the primal solution and the objective are read back.
 
     numpy and scipy are imported here, not at module level: importing them
     costs far more than a small solve, and most callers never solve an LP,
     so `import polychain` and every command but `flatnorm` load neither.
     """
     import numpy as np
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_array
+    from scipy.optimize._highspy import _core as highs
 
-    res = linprog(c, A_eq=csr_array(np.asarray(a, dtype=float)), b_eq=b,
-                  bounds=(0, None), method="highs-ds")
-    if res.status == 3:
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape
+    # row-major nonzero positions, then a stable sort by column: each
+    # column's entries in row order, as HiGHS's kColwise format wants them
+    flat = np.flatnonzero(a)
+    cols = flat % n
+    flat = flat[np.argsort(cols, kind="stable")]
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    b = np.asarray(b, dtype=float).tolist()
+
+    # HighsLp copies every field but the costs element by element, which
+    # is fastest from Python lists
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = (flat // n).tolist()
+    lp.a_matrix_.value_ = a.ravel()[flat].tolist()
+    lp.col_cost_ = np.asarray(c, dtype=float)
+    lp.col_lower_ = [0.0] * n
+    lp.col_upper_ = [highs.kHighsInf] * n
+    lp.row_lower_ = lp.row_upper_ = b
+
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.solver = "simplex"
+    options.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = options.log_to_console = False
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status == highs.HighsModelStatus.kUnbounded:
         raise Unbounded("objective unbounded below")
-    if res.status != 0:
-        raise LPError(res.message)
-    return res.x, float(res.fun)
+    if status != highs.HighsModelStatus.kOptimal:
+        raise LPError("HiGHS model status: " + solver.modelStatusToString(status))
+    return np.array(solver.getSolution().col_value), solver.getInfo().objective_function_value
 
 
 def _rad(v) -> RadicalSum:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polychain import approx
+from polychain import approx, geometry
 from polychain.approx import (ApproxError, cycle_extension, disjoint_representative,
                               measured_shrink_distance, shrink_toward,
                               singular_translate, telescope)
@@ -79,6 +79,26 @@ def test_singular_translate_clears_overlaps():
             continue
         for ref in carriers:
             assert not overlap_dim_at_least(s, ref, 1)
+
+
+def test_singular_translate_builds_no_hull_inequalities(monkeypatch):
+    # only the equalities are read: tangency against the chain's own
+    # simplices, then pairs of segments that are parallel (no common
+    # point) or not (a common point at most), which the equalities settle
+    built = []
+    inequalities = geometry._hull_inequalities
+    monkeypatch.setattr(geometry, "_hull_inequalities",
+                        lambda s: built.append(s) or inequalities(s))
+    square = [((F(0), F(0)), (F(1), F(0))), ((F(1), F(0)), (F(1), F(1))),
+              ((F(0), F(1)), (F(1), F(1))), ((F(0), F(0)), (F(0), F(1)))]
+    loop = PolyChain.build(REAL, 2, 1, [(v, F(1, i + 1)) for i, v in enumerate(square)])
+    skew = random_chain(4, 3, 2, 1, terms=6)
+    for fresh in (loop, PolyChain.build(REAL, 3, 1, [(s.vertices, c)
+                                                    for s, c in skew.terms.items()])):
+        moved, direction, _ = singular_translate(fresh, list(fresh.terms), F(1, 8))
+        assert direction is not None
+        assert all(s._hull is None for s in list(fresh.terms) + list(moved.terms))
+    assert built == []
 
 
 def test_singular_translate_needs_positive_budget_and_low_dim():

@@ -90,9 +90,27 @@ def test_flatnorm_exact_refuses_a_program_past_the_row_limit(tmp_path, capsys, m
     assert err.startswith("error [chainfile]:") and "MAX_EXACT_LP_ROWS" in err
     assert "261" in err
     assert assembled == []
-    # the float route alone has no such limit
+    # the float route's own limit admits this program
     code, out, _ = run(capsys, "flatnorm", str(src))
     assert code == 0 and "witness_replay_exact = PASS" in out
+
+
+def test_flatnorm_refuses_a_float_program_past_the_entry_limit(tmp_path, capsys, monkeypatch):
+    # d=2 n=60 k=1: 10920 edges x (2*10920 + 2*7200 triangles) columns,
+    # 395740800 entries, past MAX_FLOAT_LP_ENTRIES = 2**27
+    src = tmp_path / "chain.json"
+    run(capsys, "gen", "chain", "--grid", "2,60", "--dim", "1",
+        "--seed", "1", "--out", str(src))
+    assembled = []
+    flat_program = flatnorm._flat_program
+    monkeypatch.setattr(flatnorm, "_flat_program",
+                        lambda chain: assembled.append(chain) or flat_program(chain))
+    code, out, err = run(capsys, "flatnorm", str(src))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [chainfile]:") and "MAX_FLOAT_LP_ENTRIES" in err
+    assert "395740800" in err
+    assert assembled == []
 
 
 def test_project_then_lift_round_trip(tmp_path, capsys):

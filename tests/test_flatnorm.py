@@ -9,14 +9,15 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from polychain.chainfile import InputLimitError
 from polychain.chains import ChainError, PolyChain
-from polychain.flatnorm import flat_norm, flat_norm_oracle
+from polychain.flatnorm import _flat_program, flat_norm, flat_norm_oracle
 from polychain.gen import random_chain
 from polychain.grid import embed_on, grid_complex
 from polychain.groups import CIRCLE, INTEGER, REAL
 from polychain.radicals import RadicalSum
 import polychain
-from polychain import simplex_lp
+from polychain import chainfile, simplex_lp
 
 F = Fraction
 
@@ -244,6 +245,40 @@ def test_solve_float_reports_unbounded_and_infeasible_programs():
     with pytest.raises(simplex_lp.LPError) as info:
         simplex_lp.solve_float(np.array([[1.0, 1.0]]), [-1.0], [1.0, 1.0])
     assert not isinstance(info.value, simplex_lp.Unbounded)
+
+
+def test_solve_float_matches_linprog_highs_ds_bit_for_bit():
+    # solve_float calls scipy's private HiGHS binding with linprog's
+    # "highs-ds" options; a scipy that moves the binding or changes those
+    # options fails here
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+
+    for d, n, k in ((2, 10, 1), (2, 2, 1), (3, 1, 1), (3, 1, 2), (2, 6, 0), (2, 5, 2),
+                    (3, 2, 1), (3, 3, 1)):
+        for seed in (1, 2, 3):
+            prog = _flat_program(random_chain(seed, d, n, k))
+            a = np.zeros((prog.nr, len(prog.c)))
+            a[prog.rows, prog.cols] = prog.vals
+            b = np.array([float(v) for v in prog.b])
+            c = np.array([float(v) for v in prog.c])
+            x, obj = simplex_lp.solve_float(a, b, c)
+            ref = linprog(c, A_eq=csr_array(a), b_eq=b, bounds=(0, None), method="highs-ds")
+            assert ref.status == 0
+            assert x.dtype == ref.x.dtype and x.tobytes() == ref.x.tobytes()
+            assert type(obj) is float and obj.hex() == float(ref.fun).hex()
+
+
+def test_float_route_limit_counts_the_dense_program_entries(monkeypatch):
+    # rows x (2 rows + 2 (k+1)-cells) on the (2, 2) grid: 16 x (32 + 16)
+    # for a 1-chain, and 8 x 16 for a 2-chain, which has no (k+1)-cells
+    for k, entries in ((1, 16 * 48), (2, 8 * 16)):
+        chain = random_chain(1, 2, 2, k)
+        monkeypatch.setattr(chainfile, "MAX_FLOAT_LP_ENTRIES", entries)
+        assert flat_norm(chain).value > 0
+        monkeypatch.setattr(chainfile, "MAX_FLOAT_LP_ENTRIES", entries - 1)
+        with pytest.raises(InputLimitError, match="MAX_FLOAT_LP_ENTRIES = %d" % (entries - 1)):
+            flat_norm(chain)
 
 
 def test_import_does_not_load_the_lp_solver():

@@ -1,6 +1,7 @@
 """Coefficient groups: normalization, norms, projection and section."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,24 @@ def test_circle_normalization_and_norm():
     assert CIRCLE.norm(Fraction(1, 4)) == Fraction(1, 4)
     assert CIRCLE.norm(Fraction(3, 4)) == Fraction(1, 4)
     assert CIRCLE.norm(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_circle_norm_is_the_smaller_of_both_distances():
+    rng = Random(115)
+    values = [Fraction(0), Fraction(1, 2), Fraction(499, 1000), Fraction(501, 1000),
+              Fraction(1, 3), Fraction(2, 3), Fraction(999999, 1000000)]
+    values += [Fraction(rng.randint(0, 10 ** 6), 10 ** 6 + 1) for _ in range(200)]
+    outside = [Fraction(1), Fraction(-1, 2), Fraction(3, 2), Fraction(7), Fraction(-13, 4),
+               Fraction(9, 4), Fraction(-1, 1000)]
+    outside += [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 3))
+                for _ in range(200)]
+    for value in values + outside:
+        v = CIRCLE.normalize(value)
+        expected = min(v, 1 - v)
+        got = CIRCLE.norm(value)
+        assert type(got) is Fraction and got == expected
+        if value in values:  # normalize hands an in-range value back as it is
+            assert (got is value) == (expected is v)
 
 
 def test_section_picks_minimal_norm_representative():
