@@ -37,11 +37,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .chainfile import check_grid_size
 from .chains import ChainError, PolyChain, prism, pushforward
 from .flatnorm import flat_norm, _replay_ok
 from .geometry import AffineMap, is_tangent, overlap_dim_at_least
-from .grid import embed_on, grid_complex
+from .grid import check_grid, embed_on, grid_complex
 from .radicals import RadicalSum
 
 
@@ -282,9 +281,10 @@ def cycle_extension(chain: PolyChain, epsilon=Fraction(1, 10)):
     representative of it.
 
     Returns (cycle, carriers, defect, report): boundary(cycle) = 0 exactly,
-    mass(cycle) <= (2 + epsilon) * mass(chain) + defect, and the part of
-    the difference chain - cycle restricted to the carriers has mass at
-    most defect (the final-remainder mass, reported in the StageReport).
+    mass(cycle) <= (2 + epsilon) * mass(chain) + report.epsilon_terminal
+    (the final-remainder mass), and the part of the difference
+    chain - cycle restricted to the carriers has mass defect, checked to be
+    at most report.epsilon_terminal.
     """
     if chain.dim < 1:
         raise ApproxError("cycle extension needs k >= 1")
@@ -349,7 +349,7 @@ def measured_shrink_distance(chain: PolyChain, ratio=Fraction(1, 2)):
     if not 0 < ratio < 1:
         raise ApproxError("ratio must lie in (0, 1)")
     fine_res = 2 * ratio.denominator * complex.resolution
-    check_grid_size(complex.ambient_dim, fine_res, "shrink refinement")
+    check_grid(complex.ambient_dim, fine_res, "shrink refinement")
     image, bound = shrink_toward(chain, _box_center(complex), ratio)
     fine = grid_complex(complex.ambient_dim, fine_res)
     a = embed_on(fine, chain)

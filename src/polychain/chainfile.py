@@ -27,22 +27,22 @@ rationals in row-major order (the function is zero outside the unit box).
 
 ChainFileError marks structural problems (malformed document, bad rational,
 unknown field); InputLimitError marks well-formed input past a named size
-limit (MAX_RATIONAL_DIGITS, MAX_GRID_SIMPLICES, MAX_EXACT_LP_ROWS,
-MAX_FLOAT_LP_ENTRIES); semantic
-violations raised while building the chain (wrong coefficient for the group,
-simplex off the grid) propagate from the core modules unchanged so callers
-can tell them apart.
+limit (MAX_RATIONAL_DIGITS, MAX_EXACT_LP_ROWS, MAX_FLOAT_LP_ENTRIES, and
+grid.MAX_GRID_SIMPLICES, which `grid.check_grid` enforces for every grid a
+file or command names); semantic violations raised while building the
+chain (wrong coefficient for the group, simplex off the grid) propagate
+from the core modules unchanged so callers can tell them apart.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial
 
 from .chains import PolyChain
 from .coarea import GridFunction
-from .grid import check_grid, grid_complex
+# the grid limit and its error live in grid; both stay importable from here
+from .grid import MAX_GRID_SIMPLICES, InputLimitError, check_grid, grid_complex
 from .groups import GroupError
 from .groups import group_from_tag as _group_from_tag
 
@@ -51,21 +51,10 @@ class ChainFileError(ValueError):
     pass
 
 
-class InputLimitError(ValueError):
-    """Well-formed input that exceeds a named size limit."""
-
-
 # Largest numerator or denominator of a rational read from text, in decimal
 # digits.  Exponent notation is checked before Fraction expands 10**exp, so
 # a short string such as "1e200000" cannot request a huge integer.
 MAX_RATIONAL_DIGITS = 1000
-
-# Largest grid a chain file, a grid-function file or `gen --grid` may
-# request, in top simplices (n^d * d!).  Time and memory grow about in
-# proportion to this: at d=3 n=12 (10368 top simplices) the complex's
-# integer cells take 0.05 s, and every Simplex object with all incidence
-# tables 0.7 s and 48 MB in all (2 cores, Python 3.11.7).
-MAX_GRID_SIMPLICES = 20000
 
 # Largest flat-norm program the exact route (flat_norm_oracle, `flatnorm
 # --exact`) may solve, in rows: the k-simplices of the chain's grid.
@@ -165,15 +154,6 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
-def check_grid_size(d: int, n: int, where: str):
-    """Refuse a Kuhn grid past MAX_GRID_SIMPLICES top simplices (n^d * d!)
-    before anything builds it; grid_complex refuses other dimensions and
-    resolutions itself."""
-    if 1 <= d <= 3 and n >= 1 and n ** d * factorial(d) > MAX_GRID_SIMPLICES:
-        raise InputLimitError("%s: n=%d in R^%d exceeds MAX_GRID_SIMPLICES = %d"
-                              % (where, n, d, MAX_GRID_SIMPLICES))
-
-
 def document_to_chain(doc) -> PolyChain:
     if not isinstance(doc, dict):
         raise ChainFileError("chain document must be a JSON object")
@@ -186,7 +166,7 @@ def document_to_chain(doc) -> PolyChain:
         if cx.get("type") != "kuhn":
             raise ChainFileError("complex: only type 'kuhn' is supported")
         n = _require(cx, "n", int, "complex")
-        check_grid_size(ambient, n, "complex")
+        check_grid(ambient, n, "complex")
         complex = grid_complex(ambient, n)
     raw = _require(doc, "simplices", list, "chain")
     # Each distinct string is parsed once, at its first occurrence, so a
@@ -334,12 +314,11 @@ def parse_grid_function(text: str) -> GridFunction:
     except ValueError:
         raise ChainFileError("grid function header must be two integers, got %r %r"
                              % (tokens[0], tokens[1])) from None
-    check_grid_size(d, n, "grid function")
-    values = [parse_rational(t, "grid value %d" % i)
-              for i, t in enumerate(tokens[2:])]
     if d < 1 or n < 1:
         raise ChainFileError("grid function header out of range: d=%d n=%d" % (d, n))
-    check_grid(d, n)  # before n ** d, which a large d makes unbounded
+    check_grid(d, n, "grid function")  # before n ** d, which a large d makes unbounded
+    values = [parse_rational(t, "grid value %d" % i)
+              for i, t in enumerate(tokens[2:])]
     if len(values) != n ** d:
         raise ChainFileError("expected %d grid values, got %d" % (n ** d, len(values)))
     return GridFunction.build(d, n, values)

@@ -16,10 +16,10 @@ constructions rely on this).
 The free backend ("soup") performs no geometric merging: simplices that
 overlap without being identical coexist, so a soup mass is an upper bound
 for the mass of the underlying current.  Chains tagged with a complex are
-validated to be supported on it, and hold the complex's interned simplices
-(`GridComplex.intern`) as their keys, so each grid cell's hash and volume
-are computed once per process; their boundaries are read off the
-complex's incidence table instead of being built from vertex tuples.
+validated to be supported on it, and hold the complex's stored simplices
+(`simplices(k)[index_of(k, s)]`) as their keys, so each grid cell's hash
+and volume are computed once per process; their boundaries are read off
+the complex's incidence table instead of being built from vertex tuples.
 A free chain's boundary makes each face from the sorted vertex tuple of
 its parent, which is sorted already, without re-validating it; a
 pushforward by x -> r*x + b with r > 0 maps each term's simplex with
@@ -82,6 +82,7 @@ class PolyChain:
             raise ChainError("chain in R^%d on a complex in R^%d"
                              % (ambient_dim, complex.ambient_dim))
         terms: dict[Simplex, Fraction] = {}
+        stored = complex.simplices(dim) if complex is not None else None
         for vertices, coeff in items:
             verts, sign = canonical(vertices)
             if sign == 0:
@@ -95,7 +96,7 @@ class PolyChain:
                 g = group.neg(g)
             s = Simplex(verts)
             if complex is not None:
-                s = complex.intern(dim, s)
+                s = stored[complex.index_of(dim, s)]
             if s in terms:
                 g = group.add(terms[s], g)
             if g:

@@ -31,17 +31,17 @@ import sys
 from fractions import Fraction
 
 from .approx import ApproxError, cycle_extension, disjoint_representative
-from .chainfile import (ChainFileError, InputLimitError, check_grid_size,
-                        emit_chain, group_from_tag, load_chain,
-                        load_grid_function, parse_chain, parse_rational,
-                        save_chain, save_grid_function, save_slices)
+from .chainfile import (ChainFileError, InputLimitError, emit_chain,
+                        group_from_tag, load_chain, load_grid_function,
+                        parse_chain, parse_rational, save_chain,
+                        save_grid_function, save_slices)
 from .chains import ChainError
 from .coarea import verify_coarea
 from .flatnorm import CertificateError, flat_norm, flat_norm_oracle
 from .gen import (GenError, random_chain, random_circle_top, random_cycle,
                   random_grid_function, random_integral_boundary_chain)
 from .geometry import GeometryError
-from .grid import GridError
+from .grid import GridError, check_grid
 from .groups import CIRCLE, GroupError
 from .lifting import (LiftError, br_correct, lift_flat, lift_top_optimal,
                       lift_top_threshold, loop_cancel, project_chain)
@@ -270,7 +270,7 @@ def _cmd_validate(args, chain, rep):
 
 def _cmd_gen(args, _, rep):
     d, n = _parse_grid(args.grid)
-    check_grid_size(d, n, "--grid")
+    check_grid(d, n, "--grid")
     group = group_from_tag(args.group)
     rep.add("kind", args.kind)
     rep.add("grid", "%d,%d" % (d, n))

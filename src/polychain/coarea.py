@@ -62,11 +62,12 @@ class GridFunction:
         """The function as a top-dimensional chain: each cell contributes
         its value on the cell's positively oriented simplices."""
         complex = self.complex
+        cells = complex.cells_of_cube(self.ambient_dim)
         pairs = []
         # cubes() enumerates the cells in the row-major order of values
         for cube, v in zip(complex.cubes(), self.values):
             if v:
-                pairs += complex.top_pairs(group, complex.tops_of_cube(cube), v)
+                pairs += complex.top_pairs(group, cells[cube], v)
         return complex.chain_from_ids(group, self.ambient_dim, pairs)
 
 

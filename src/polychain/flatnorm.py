@@ -12,15 +12,17 @@ form the program is
 split into nonnegative parts, where B is the signed incidence matrix.
 One assembly, ``_flat_program``, builds its nonzero entries; the
 sign-adjusted slack columns of r give the exact route a starting identity
-basis, so it never needs a phase-1.
+basis, so it never needs a phase-1.  One witness assembly, ``_witness``,
+turns a route's filling coefficients q into R = P - boundary(Q) and
+replays the identity exactly.
 
 Two deliberately independent routes:
 
 * ``flat_norm``: HiGHS dual simplex (`simplex_lp.solve_float`, one direct
   call) on the dense float program, whose size chainfile.MAX_FLOAT_LP_ENTRIES
-  bounds; the filling is snapped to small rationals and the residual
-  recomputed exactly, so the returned witness satisfies R + boundary(Q) = P
-  as an exact chain identity.
+  bounds; the filling is snapped to rationals of denominator at most
+  SNAP_DENOMINATOR and the residual recomputed exactly, so the returned
+  witness satisfies R + boundary(Q) = P as an exact chain identity.
 * ``flat_norm_oracle``: exact simplex over Fractions with exact volume
   objective, plus a from-scratch optimality certificate on the raw data.
 
@@ -38,6 +40,11 @@ from . import chainfile, simplex_lp
 from .chains import ChainError, PolyChain
 from .groups import REAL
 from .radicals import RadicalSum
+
+
+# The float route's filling coefficients are snapped to the nearest
+# rationals with at most this denominator.
+SNAP_DENOMINATOR = 10 ** 6
 
 
 class CertificateError(Exception):
@@ -72,7 +79,7 @@ class _FlatProgram(NamedTuple):
     rows: list      # (rows[i], cols[i], vals[i]): the nonzero entries of A
     cols: list
     vals: list
-    b: list         # |p| as Fractions
+    b: list         # |p|
     c: list         # exact simplex volumes
     basis: list
 
@@ -99,19 +106,27 @@ def _flat_program(chain: PolyChain) -> _FlatProgram:
     vol_r = [s.volume() for s in complex.simplices(k)]
     vol_q = [s.volume() for s in complex.simplices(k + 1)] if nq else []
     return _FlatProgram(nr=nr, nq=nq, p=p, inc=inc, rows=rows, cols=cols, vals=vals,
-                        b=[abs(Fraction(v)) for v in p],
+                        b=[abs(v) for v in p],
                         c=vol_r + vol_r + vol_q + vol_q,
                         basis=[i if p[i] >= 0 else nr + i for i in range(nr)])
 
 
-def _witness_chains(chain: PolyChain, r_vec, q_vec, nq: int) -> tuple[PolyChain, PolyChain]:
-    complex = chain.complex
-    k = chain.dim
+def _witness(chain: PolyChain, prog: _FlatProgram, q_vec) -> tuple[PolyChain, PolyChain]:
+    """The witness (R, Q) of filling coefficients q_vec: r = p - B q, both
+    made real chains, and R + boundary(Q) = P replayed exactly."""
+    r_vec = list(prog.p)
+    for j, qj in enumerate(q_vec):
+        if qj:
+            for face, sign in prog.inc[j]:
+                r_vec[face] -= sign * qj
+    complex, k = chain.complex, chain.dim
     residual = complex.chain_from_vector(REAL, k, r_vec)
-    if nq:
+    if prog.nq:
         filling = complex.chain_from_vector(REAL, k + 1, q_vec)
     else:
         filling = PolyChain.zero(REAL, chain.ambient_dim, k + 1)
+    if not _replay_ok(chain, residual, filling):
+        raise ChainError("flat norm witness failed to replay")
     return residual, filling
 
 
@@ -120,7 +135,7 @@ def _replay_ok(chain: PolyChain, residual: PolyChain, filling: PolyChain) -> boo
     return total.terms == chain.as_real().terms
 
 
-def flat_norm(chain: PolyChain, snap_denominator: int = 10 ** 6) -> FlatWitness:
+def flat_norm(chain: PolyChain) -> FlatWitness:
     """Float-route flat norm with an exactly replaying witness.
 
     Programs whose dense matrix would pass chainfile.MAX_FLOAT_LP_ENTRIES
@@ -151,16 +166,10 @@ def flat_norm(chain: PolyChain, snap_denominator: int = 10 ** 6) -> FlatWitness:
     x, obj = simplex_lp.solve_float(a, np.array([float(v) for v in prog.b]),
                                     np.array([as_float[id(v)] for v in prog.c]))
 
-    q_vec = [Fraction(x[2 * nr + j] - x[2 * nr + nq + j]).limit_denominator(snap_denominator)
-             for j in range(nq)]
-    r_vec = [Fraction(v) for v in prog.p]
-    for j, qj in enumerate(q_vec):
-        if qj:
-            for face, sign in prog.inc[j]:
-                r_vec[face] -= sign * qj
-    residual, filling = _witness_chains(chain, r_vec, q_vec, nq)
-    if not _replay_ok(chain, residual, filling):
-        raise ChainError("flat norm witness failed to replay")
+    # a column difference of exactly 0.0 stays 0, with no Fraction built
+    q_vec = [Fraction(v).limit_denominator(SNAP_DENOMINATOR) if v else 0
+             for v in (x[2 * nr:2 * nr + nq] - x[2 * nr + nq:]).tolist()]
+    residual, filling = _witness(chain, prog, q_vec)
     return FlatWitness(value=obj, value_exact=None, residual=residual, filling=filling)
 
 
@@ -188,10 +197,7 @@ def flat_norm_oracle(chain: PolyChain) -> FlatWitness:
     if not simplex_lp.check_certificate(a_rows, b, c, final_basis):
         raise CertificateError("exact flat norm basis failed its optimality certificate")
 
-    r_vec = [x[i] - x[nr + i] for i in range(nr)]
     q_vec = [x[2 * nr + j] - x[2 * nr + nq + j] for j in range(nq)]
-    residual, filling = _witness_chains(chain, r_vec, q_vec, nq)
-    if not _replay_ok(chain, residual, filling):
-        raise ChainError("oracle witness failed to replay")
+    residual, filling = _witness(chain, prog, q_vec)
     return FlatWitness(value=float(obj), value_exact=obj, residual=residual, filling=filling)
 

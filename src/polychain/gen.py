@@ -92,12 +92,12 @@ def random_circle_top(seed, d: int, n: int) -> PolyChain:
     coefficient per cell."""
     rng = _rng(seed)
     complex = grid_complex(d, n)
+    cells = complex.cells_of_cube(d)
     pairs = []
     for cube in complex.cubes():
         if rng.random() >= CIRCLE_TOP_DENSITY:
             continue
-        pairs += complex.top_pairs(CIRCLE, complex.tops_of_cube(cube),
-                                   random_coeff(rng, CIRCLE))
+        pairs += complex.top_pairs(CIRCLE, cells[cube], random_coeff(rng, CIRCLE))
     chain = complex.chain_from_ids(CIRCLE, d, pairs)
     if chain.is_zero():
         return random_circle_top(rng, d, n)

@@ -23,8 +23,9 @@ calls `gauss_jordan` above that.
 approximation pipeline moves chains by.  Such a map keeps the
 lexicographic order of vertices, so `Simplex.moved` builds the image
 simplex directly, already canonical, and carries the squared volume
-(times r^(2k)) and the known parts of the H-description over exactly
-instead of recomputing them.
+(times r^(2k)) and known affine-hull equalities over exactly instead of
+recomputing them; the image's inequalities are derived if something reads
+its hull.
 """
 
 from __future__ import annotations
@@ -186,10 +187,10 @@ class Simplex:
     Immutable: the vertices never change after construction, so the hash
     is computed once, and the squared volume, volume, bounding box,
     affine-hull equalities (`equalities`) and H-description (`hull`) are
-    cached on first use.  Grid complexes hand out one shared object per
-    cell (see GridComplex.intern), so those caches are filled once per
-    cell in a process.  `moved` hands the known
-    ones on to the image under a map r*x + b with r > 0.
+    cached on first use.  Grid complexes hand out one stored object per
+    cell (`GridComplex.simplices`), so those caches are filled once per
+    cell in a process.  `moved` hands the known volume and equalities on
+    to the image under a map r*x + b with r > 0.
     """
 
     __slots__ = ("vertices", "_hash", "_sqvol", "_vol", "_bbox", "_eqs", "_hull")
@@ -212,11 +213,11 @@ class Simplex:
         self._hull = None
 
     @classmethod
-    def trusted(cls, vertices, sqvol=None, vol=None, eqs=None, hull=None) -> "Simplex":
+    def trusted(cls, vertices, sqvol=None, vol=None, eqs=None) -> "Simplex":
         """The simplex on `vertices`, already a valid tuple of Fraction point
         tuples (a face of a simplex, a grid cell, an image under a map),
-        with its squared volume, volume, equalities and H-description where
-        already known; nothing is checked or recomputed."""
+        with its squared volume, volume and equalities where already known;
+        nothing is checked or recomputed."""
         s = cls.__new__(cls)
         s.vertices = vertices
         s._hash = hash(vertices)
@@ -224,7 +225,7 @@ class Simplex:
         s._vol = vol
         s._bbox = None
         s._eqs = eqs
-        s._hull = hull
+        s._hull = None
         return s
 
     @property
@@ -273,8 +274,8 @@ class Simplex:
         return self._eqs
 
     def hull(self):
-        """The exact H-description (equalities, inequalities), computed once;
-        see `_hull_equalities` and `_hull_inequalities`."""
+        """The exact H-description (equalities, inequalities), computed once
+        on first read; see `_hull_equalities` and `_hull_inequalities`."""
         if self._hull is None:
             self._hull = (self.equalities(), _hull_inequalities(self))
         return self._hull
@@ -285,15 +286,14 @@ class Simplex:
         Such a map keeps the lexicographic order of the vertices, so the
         image is canonical with the same orientation.  Its squared volume is
         this one's times r^(2k), the same object when r == 1 (which also
-        shares the volume), and its equalities and H-description are this
-        one's carried over exactly: an equality n.x = c becomes
-        n.y = r*c + n.b, an inequality a.x >= c becomes
-        (a/r).y >= c + (a/r).b.  Both equal what recomputing them on the
-        image gives; a volume is not scaled but derived again from the
-        squared volume, so it prints as a recomputed one does.  What is not
-        known here is left to compute."""
+        shares the volume), and its equalities are this one's carried over
+        exactly: an equality n.x = c becomes n.y = r*c + n.b, which is what
+        recomputing it on the image gives.  A volume is not scaled but
+        derived again from the squared volume, so it prints as a recomputed
+        one does.  What is not known here, and the barycentric inequalities
+        (few images are ever asked for them), are left to compute."""
         r, b = f.scale, f.shift
-        sqvol, vol, eqs, hull = self._sqvol, self._vol, self._eqs, self._hull
+        sqvol, vol, eqs = self._sqvol, self._vol, self._eqs
         if r == 1:
             verts = tuple([tuple([x + t for x, t in zip(v, b)]) for v in self.vertices])
         else:
@@ -301,17 +301,11 @@ class Simplex:
             vol = None
             if sqvol is not None:
                 sqvol = sqvol * r ** (2 * len(verts) - 2)
-        # hull() fills the equalities first, so a known hull has them too
         if eqs is not None:
             if r != 1:
                 eqs = [(n, r * c) for n, c in eqs]
             eqs = tuple([(n, c + _dot(n, b)) for n, c in eqs])
-        if hull is not None:
-            ineqs = hull[1]
-            if r != 1:
-                ineqs = [(tuple([x / r for x in a]), c) for a, c in ineqs]
-            hull = (eqs, tuple([(a, c + _dot(a, b)) for a, c in ineqs]))
-        return Simplex.trusted(verts, sqvol, vol, eqs, hull)
+        return Simplex.trusted(verts, sqvol, vol, eqs)
 
     def __eq__(self, other):
         if self is other:

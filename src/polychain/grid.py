@@ -25,16 +25,22 @@ cells.
 
 A dimension's `Simplex` objects (Fraction vertices) and its Simplex -> id
 index are made the first time something asks for them (`simplices`,
-`simplex`, `index_of`, `intern`, `id_key`, `chain_from_ids`,
-`chain_vector`, `contains`).  Volumes are translation invariant, so each
-shape takes one Gram determinant and every cell of the shape gets its
-squared volume and volume from that table entry.  Each simplex of a
-complex is one stored object (`intern` returns it), so its hash and volume
-are computed once however many chains use it.  Chains made here are built
-from cell ids (`chain_from_ids`): (id, coeff) pairs become terms keyed by
-the stored simplices, with no vertex tuple sorted, no new Simplex and no
-`intern` lookup; `PolyChain.build` stays the constructor for chains given
+`index_of`, `id_key`, `chain_from_ids`, `chain_vector`).  `index_of` is the
+one Simplex -> id lookup; `simplices(k)[i]` is the stored object of id i.
+Volumes are translation invariant, so each shape takes one Gram
+determinant and every cell of the shape gets its squared volume and volume
+from that table entry.  Each simplex of a complex is one stored object, so
+its hash and volume are computed once however many chains use it.  Chains
+made here are built from cell ids (`chain_from_ids`): (id, coeff) pairs
+become terms keyed by the stored simplices, with no vertex tuple sorted and
+no new Simplex; `PolyChain.build` stays the constructor for chains given
 by vertex tuples (files, free chains).
+
+`check_grid` is the one grid check: it refuses a dimension or resolution
+no complex here is built for, and a grid past MAX_GRID_SIMPLICES top
+simplices, before anything builds it.  `GridComplex` calls it, and so do
+the readers and commands that take a grid from their input, each naming
+where the grid came from.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import ceil, floor
+from math import ceil, factorial, floor
 
 from . import chains as _chains
 from .geometry import Simplex, det, faces, simplex_in_simplex
@@ -53,12 +59,29 @@ class GridError(ValueError):
     pass
 
 
-def check_grid(ambient_dim: int, resolution: int) -> None:
-    """Refuse grid parameters no Kuhn complex here is built for."""
+class InputLimitError(ValueError):
+    """Well-formed input that exceeds a named size limit."""
+
+
+# Largest grid that may be built, in top simplices (n^d * d!).  Time and
+# memory grow about in proportion to this: at d=3 n=12 (10368 top
+# simplices) the complex's integer cells take 0.05 s, and every Simplex
+# object with all incidence tables 0.7 s and 48 MB in all (2 cores,
+# Python 3.11.7).
+MAX_GRID_SIMPLICES = 20000
+
+
+def check_grid(ambient_dim: int, resolution: int, where: str = "grid") -> None:
+    """Refuse grid parameters no Kuhn complex here is built for, and a grid
+    past MAX_GRID_SIMPLICES top simplices; `where` names the grid's source
+    in the InputLimitError.  Cheap: nothing is built."""
     if ambient_dim not in (1, 2, 3):
         raise GridError("ambient dimension must be 1, 2 or 3")
     if resolution < 1:
         raise GridError("resolution must be >= 1")
+    if resolution ** ambient_dim * factorial(ambient_dim) > MAX_GRID_SIMPLICES:
+        raise InputLimitError("%s: n=%d in R^%d exceeds MAX_GRID_SIMPLICES = %d"
+                              % (where, resolution, ambient_dim, MAX_GRID_SIMPLICES))
 
 
 def _perm_sign(perm) -> int:
@@ -170,9 +193,6 @@ class GridComplex:
             self._make(k)
         return self._simplices[k]
 
-    def simplex(self, k: int, i: int) -> Simplex:
-        return self.simplices(k)[i]
-
     def index_of(self, k: int, s: Simplex) -> int:
         try:
             return self._index[k][s]
@@ -187,20 +207,8 @@ class GridComplex:
         as their sorted vertex tuples do without comparing Fractions."""
         return self._table(k).__getitem__
 
-    def intern(self, k: int, s: Simplex) -> Simplex:
-        """The complex's own k-simplex object equal to s."""
-        i = self.index_of(k, s)
-        return self._simplices[k][i]
-
-    def contains(self, s: Simplex) -> bool:
-        table = self._table(s.dim)
-        return table is not None and s in table
-
     def cubes(self):
         return product(*(range(self.resolution),) * self.ambient_dim)
-
-    def tops_of_cube(self, cube) -> tuple:
-        return self.cells_of_cube(self.ambient_dim)[tuple(cube)]
 
     def cells_of_cube(self, k: int) -> dict:
         """Lattice cube -> ascending ids of the k-cells whose first point,
@@ -256,22 +264,15 @@ class GridComplex:
 
     # -- chains ------------------------------------------------------------------
 
-    def validate_chain(self, chain) -> None:
-        if chain.ambient_dim != self.ambient_dim:
-            raise GridError("ambient dimension mismatch")
-        table = self._table(chain.dim)
-        if table is None:
-            raise GridError("no %d-simplices on this complex" % chain.dim)
-        for s in chain.terms:
-            if s not in table:
-                raise GridError("chain term off the complex: %r" % (s,))
-
     def chain_vector(self, chain) -> list:
-        """Coefficient vector over k-simplex ids (chain must live here)."""
-        self.validate_chain(chain)
-        vec = [Fraction(0)] * self.count(chain.dim)
+        """Coefficient vector over k-simplex ids; a term off this complex
+        raises GridError, as does a dimension it has no simplices of."""
+        k = chain.dim
+        if k not in self._cells:
+            raise GridError("no %d-simplices on this complex" % k)
+        vec = [Fraction(0)] * self.count(k)
         for s, c in chain.terms.items():
-            vec[self._index[chain.dim][s]] = c
+            vec[self.index_of(k, s)] = c
         return vec
 
     def chain_from_ids(self, group, k: int, pairs) -> "_chains.PolyChain":
@@ -311,8 +312,9 @@ class GridComplex:
 
     def cube_chain(self, group, cube, coeff=1) -> "_chains.PolyChain":
         """Positively oriented cell indicator: the d! tops of one cube."""
-        return self.chain_from_ids(group, self.ambient_dim,
-                                   self.top_pairs(group, self.tops_of_cube(cube), coeff))
+        d = self.ambient_dim
+        return self.chain_from_ids(group, d, self.top_pairs(
+            group, self.cells_of_cube(d)[tuple(cube)], coeff))
 
     # -- geometry ------------------------------------------------------------------
 

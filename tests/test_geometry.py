@@ -261,7 +261,7 @@ def test_moved_simplex_equals_the_recomputed_image():
                 assert image == ref and hash(image) == hash(ref)
                 # carried over when known, left to compute otherwise
                 assert (image._sqvol is not None) == warm
-                assert (image._hull is not None) == (warm and not s.is_degenerate())
+                assert (image._eqs is not None) == (warm and not s.is_degenerate())
                 assert image.sq_volume() == ref.sq_volume()
                 assert str(image.volume()) == str(ref.volume())
                 if warm and r == 1:

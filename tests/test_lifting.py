@@ -163,6 +163,19 @@ def test_optimal_lift_verifies_its_bounds():
                 - top.boundary().mass_exact() * 5).sign() <= 0
 
 
+@pytest.mark.xfail(strict=True, raises=LiftError,
+                   reason="the threshold is applied to each stored coefficient, not to the "
+                          "value on the positive orientation, which Kuhn parity alternates")
+def test_optimal_lift_of_a_constant_top_chain_meets_the_profile_bound():
+    # the constant 9/20 on every positively oriented cell: its lift at any
+    # threshold should be the constant 9/20 or -11/20, but the cells stored
+    # with negative orientation hold 11/20, so off (9/20, 11/20) the lift
+    # jumps across every diagonal and the profile integral (5.64) passes
+    # (5/2) mass(boundary) = 4.5
+    chain = grid_complex(2, 4).full_chain(CIRCLE, F(9, 20))
+    lift_top_optimal(chain)
+
+
 def test_loop_cancel_zeroes_a_half_loop():
     cx = grid_complex(2, 1)
     loop = cx.full_chain(REAL).boundary().scale(F(1, 2))
