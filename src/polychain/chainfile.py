@@ -317,8 +317,15 @@ def parse_grid_function(text: str) -> GridFunction:
     if d < 1 or n < 1:
         raise ChainFileError("grid function header out of range: d=%d n=%d" % (d, n))
     check_grid(d, n, "grid function")  # before n ** d, which a large d makes unbounded
-    values = [parse_rational(t, "grid value %d" % i)
-              for i, t in enumerate(tokens[2:])]
+    # each distinct token is parsed once, at its first index, so a bad one
+    # is reported there
+    known: dict[str, Fraction] = {}
+    values = []
+    for i, t in enumerate(tokens[2:]):
+        q = known.get(t)
+        if q is None:
+            q = known[t] = parse_rational(t, "grid value %d" % i)
+        values.append(q)
     if len(values) != n ** d:
         raise ChainFileError("expected %d grid values, got %d" % (n ** d, len(values)))
     return GridFunction.build(d, n, values)

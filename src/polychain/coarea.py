@@ -48,7 +48,7 @@ class GridFunction:
     @classmethod
     def build(cls, ambient_dim: int, resolution: int, values) -> "GridFunction":
         check_grid(ambient_dim, resolution)
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         if len(vals) != resolution ** ambient_dim:
             raise GridError("expected %d cell values, got %d"
                             % (resolution ** ambient_dim, len(vals)))

@@ -23,8 +23,9 @@ Two deliberately independent routes:
   bounds; the filling is snapped to rationals of denominator at most
   SNAP_DENOMINATOR and the residual recomputed exactly, so the returned
   witness satisfies R + boundary(Q) = P as an exact chain identity.
-* ``flat_norm_oracle``: exact simplex over Fractions with exact volume
-  objective, plus a from-scratch optimality certificate on the raw data.
+* ``flat_norm_oracle``: exact simplex with the exact volume objective, on
+  an integer tableau (`simplex_lp.solve_exact`), plus a from-scratch
+  optimality certificate on the raw data.
 
 Coefficients must be real (integers are taken as reals); witnesses are
 real chains.
@@ -174,8 +175,9 @@ def flat_norm(chain: PolyChain) -> FlatWitness:
 
 
 def flat_norm_oracle(chain: PolyChain) -> FlatWitness:
-    """Exact-route flat norm: Fraction tableau, radical objective row, and
-    an independent optimality certificate recomputed from the raw data.
+    """Exact-route flat norm: integer tableau (the program's entries are
+    +-1), one cost row per volume radicand, and an independent optimality
+    certificate recomputed from the raw data.
 
     Programs past chainfile.MAX_EXACT_LP_ROWS rows are refused with
     InputLimitError before any of the program is built."""
@@ -188,10 +190,9 @@ def flat_norm_oracle(chain: PolyChain) -> FlatWitness:
     prog = _flat_program(chain)
     nr, nq, b, c = prog.nr, prog.nq, prog.b, prog.c
 
-    zero = Fraction(0)
-    a_rows = [[zero] * len(c) for _ in range(nr)]
+    a_rows = [[0] * len(c) for _ in range(nr)]
     for i, j, v in zip(prog.rows, prog.cols, prog.vals):
-        a_rows[i][j] = Fraction(v)
+        a_rows[i][j] = v
 
     x, obj, final_basis = simplex_lp.solve_exact(a_rows, b, c, prog.basis)
     if not simplex_lp.check_certificate(a_rows, b, c, final_basis):

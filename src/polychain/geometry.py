@@ -12,7 +12,7 @@ H-description from `Simplex.hull`, computed on first use and cached on
 the simplex; tangency and the cheap overlap tests read only its
 equalities (`Simplex.equalities`), which are computed and cached alone.
 All of that linear algebra, and the basis solves of the LP certificate
-(`simplex_lp.check_certificate`, through `solve_linear`), use one
+(`simplex_lp.check_certificate`), use one
 elimination kernel: `gauss_jordan`, of which `mat_rank` and
 `solve_linear` are thin wrappers.  Its step, `pivot`, is also the step of
 the exact LP tableau (`simplex_lp.solve_exact`).  `det` expands cofactors
@@ -45,14 +45,21 @@ Vertices = tuple  # tuple[Point, ...]
 
 
 def pivot(rows, r: int, col: int) -> list:
-    """One exact pivot step in place: scale row r to a 1 in column col (a
-    nonzero Fraction) and clear column col from the other rows, touching
-    only row r's nonzero columns, which are returned.  `gauss_jordan` and
-    the LP tableau of `simplex_lp.solve_exact` share it."""
+    """One exact pivot step in place: scale row r to a 1 in column col and
+    clear column col from the other rows, touching only row r's nonzero
+    columns, which are returned.  `gauss_jordan` and the LP tableau of
+    `simplex_lp.solve_exact` share it.
+
+    Entries may be ints or Fractions.  A pivot of 1 or -1 leaves the row
+    unscaled or negated, so rows of ints stay ints; any other pivot
+    divides, and only then do Fractions appear."""
     prow = rows[r]
     nz = [j for j, v in enumerate(prow) if v]
     pv = prow[col]
-    if pv != 1:
+    if pv == -1:
+        for j in nz:
+            prow[j] = -prow[j]
+    elif pv != 1:
         inv = Fraction(1) / pv
         for j in nz:
             prow[j] = prow[j] * inv
@@ -69,7 +76,7 @@ def gauss_jordan(rows, ncols=None):
     mat_rank, solve_linear and det.
 
     `rows` is copied, never changed.  Pivots are taken in the leading
-    `ncols` columns (all columns by default), which hold Fractions; later
+    `ncols` columns (all columns by default), which hold rationals; later
     columns are carried along as augmented columns and may hold any values
     forming a vector space over Q, such as RadicalSums.  Each column's pivot
     is its first nonzero entry at or below the current rank, and each step

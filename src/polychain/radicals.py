@@ -10,12 +10,14 @@ canonical enough for zero testing: a sum is zero iff all coefficients are
 zero, by linear independence of square roots of such integers over Q.
 Signs of nonzero sums are decided by interval refinement with integer square
 roots, which terminates because the value is provably nonzero.
+`integer_rows` splits a list of such values over one set of radicands into
+integer rows, the form in which the exact LP keeps its costs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 # Trial-division primes for pulling square factors out of radicands.  Missing
 # a large square factor never breaks correctness (pairwise normalization in
@@ -40,6 +42,50 @@ def _reduce_radicand(n: int) -> tuple[int, int]:
     if root * root == n:
         return 1, mult * root
     return n, mult
+
+
+def _fold_key(keys, rad: int) -> tuple[int, Fraction | int]:
+    """(key, mult) with sqrt(rad) = mult * sqrt(key): the first of `keys`
+    whose product with rad is a perfect square, else rad itself and 1."""
+    if rad != 1:
+        for key in keys:
+            if key == rad:
+                break
+            prod = key * rad
+            root = isqrt(prod)
+            if root * root == prod:
+                return key, Fraction(root, key)
+    return rad, 1
+
+
+def integer_rows(values) -> tuple[list[int], list[list[int]], int]:
+    """Splits rationals and RadicalSums v_0..v_{n-1} over one set of
+    radicands: returns (keys, rows, den) with
+
+        v_j = sum_k rows[k][j] * sqrt(keys[k]) / den,
+
+    rows[k] a list of n ints and den > 0 the least common denominator.
+    Radicands are folded in value order the way `RadicalSum._insert` folds
+    them, so sqrt(20402) = 101*sqrt(2) joins an earlier sqrt(2)."""
+    values = list(values)   # alive until the end, so no id is reused
+    index: dict[int, int] = {}
+    known = {}   # id -> {key: coefficient}: a repeated object splits once
+    for v in values:
+        if id(v) not in known:
+            parts = known[id(v)] = {}
+            for rad, c in (v.terms if isinstance(v, RadicalSum)
+                           else {1: Fraction(v)} if v else {}).items():
+                key, mult = _fold_key(index, rad)
+                index.setdefault(key, len(index))
+                parts[key] = c * mult if mult != 1 else c
+    den = lcm(*(c.denominator for parts in known.values() for c in parts.values()))
+    scaled = {i: [(index[key], c.numerator * (den // c.denominator))
+                  for key, c in parts.items()] for i, parts in known.items()}
+    rows = [[0] * len(values) for _ in index]
+    for j, v in enumerate(values):
+        for k, coeff in scaled[id(v)]:
+            rows[k][j] = coeff
+    return list(index), rows, den
 
 
 class RadicalSum:
@@ -82,22 +128,9 @@ class RadicalSum:
     def _insert(self, rad: int, coeff: Fraction) -> None:
         if coeff == 0:
             return
-        if rad == 1:
-            c = self.terms.get(1, Fraction(0)) + coeff
-            if c:
-                self.terms[1] = c
-            else:
-                self.terms.pop(1, None)
-            return
-        for key in self.terms:
-            if key == rad:
-                break
-            prod = key * rad
-            root = isqrt(prod)
-            if root * root == prod:
-                # sqrt(rad) = (root/key) * sqrt(key)
-                rad, coeff = key, coeff * Fraction(root, key)
-                break
+        rad, mult = _fold_key(self.terms, rad)
+        if mult != 1:
+            coeff = coeff * mult
         c = self.terms.get(rad, Fraction(0)) + coeff
         if c:
             self.terms[rad] = c
@@ -177,31 +210,29 @@ class RadicalSum:
         raise ValueError("value is irrational: %r" % self)
 
     def sign(self) -> int:
-        if not self.terms:
+        """-1, 0 or 1.  A sum with coefficients of mixed signs is bracketed
+        with floor(sqrt(rad) * 2^bits) for bits = 32, 64, ... up to
+        _MAX_SIGN_BITS, until the bracket excludes 0.  The refinement runs
+        in integers: every coefficient is scaled by their least common
+        denominator and every root by 2^bits, which moves no decision."""
+        terms = self.terms
+        if not terms:
             return 0
-        pos = all(c > 0 for c in self.terms.values())
-        if pos:
+        if all(c > 0 for c in terms.values()):
             return 1
-        if all(c < 0 for c in self.terms.values()):
+        if all(c < 0 for c in terms.values()):
             return -1
+        den = lcm(*(c.denominator for c in terms.values()))
+        scaled = [(rad, c.numerator * (den // c.denominator)) for rad, c in terms.items()]
+        # the bracket is [base + below, base + above], base = sum c*floor(.)
+        below = sum(c for _, c in scaled if c < 0)
+        above = sum(c for _, c in scaled if c > 0)
         bits = 32
         while bits <= _MAX_SIGN_BITS:
-            scale = 1 << bits
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for rad, c in self.terms.items():
-                s = isqrt(rad * scale * scale)
-                root_lo = Fraction(s, scale)
-                root_hi = Fraction(s + 1, scale)
-                if c > 0:
-                    lo += c * root_lo
-                    hi += c * root_hi
-                else:
-                    lo += c * root_hi
-                    hi += c * root_lo
-            if lo > 0:
+            base = sum(c * isqrt(rad << 2 * bits) for rad, c in scaled)
+            if base + below > 0:
                 return 1
-            if hi < 0:
+            if base + above < 0:
                 return -1
             bits *= 2
         raise ArithmeticError("sign undecided at %d bits: %r" % (_MAX_SIGN_BITS, self))

@@ -7,27 +7,38 @@ Two independent routes:
 * ``solve_float``: HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp.
   10, 2018), one direct call through scipy's binding of it, on the
   column-wise nonzeros of A.
-* ``solve_exact``: Fraction tableau with an ordered-field objective row
-  (entries may be RadicalSum), so degeneracy and optimality tests are exact.
-  Callers supply a starting basis whose columns form an identity in A and a
-  nonnegative right-hand side, so no phase-1 is ever needed (the flat-norm
-  programs always have one: split slack columns indexed by the sign of b).
-  Bland's rule picks the pivots.  Each tableau step is `geometry.pivot`,
-  the step `gauss_jordan` takes too, which touches only the pivot row's
-  nonzero columns; the objective row is updated beside it.
+* ``solve_exact``: exact tableau with Bland's rule, so degeneracy and
+  optimality tests are exact.  Callers supply a starting basis whose
+  columns form an identity in A and a nonnegative right-hand side, so no
+  phase-1 is ever needed (the flat-norm programs always have one: split
+  slack columns indexed by the sign of b).  The tableau holds Python ints
+  wherever the data allow: b is scaled to integers by the least common
+  multiple of its denominators, the ratio test is cross-multiplied, and
+  the costs, which may be RadicalSums, become one integer row per radicand
+  (`radicals.integer_rows`) appended below the constraint rows.  Each
+  tableau step is `geometry.pivot`, the step `gauss_jordan` takes too,
+  which touches only the pivot row's nonzero columns, cost rows included;
+  a pivot of +-1 keeps ints, and any other pivot brings in Fractions
+  where they are needed (on the flat-norm programs measured, every pivot
+  was +-1).  Each column's reduced-cost sign is cached and recomputed
+  only after a pivot touches the column.
 
 ``check_certificate`` re-derives optimality of a basis from the raw data
 (basic solution feasible, all reduced costs nonnegative) without reusing
 any solver state; it is the referee between the two routes.  Its primal
-and dual basis solves go through ``geometry.solve_linear``.
+basis solve goes through ``geometry.solve_linear``; its dual solve is one
+``geometry.gauss_jordan`` over the transposed basis matrix with one
+integer cost column per radicand, and the reduced costs are taken per
+radicand, in ints when the dual vector is integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .geometry import pivot, solve_linear
-from .radicals import RadicalSum
+from .geometry import gauss_jordan, pivot, solve_linear
+from .radicals import RadicalSum, integer_rows
 
 
 class LPError(Exception):
@@ -107,14 +118,24 @@ def solve_float(a, b, c):
     return np.array(solver.getSolution().col_value), solver.getInfo().objective_function_value
 
 
-def _rad(v) -> RadicalSum:
-    return v if isinstance(v, RadicalSum) else RadicalSum.from_rational(v)
+def _sign(keys, column) -> int:
+    """Sign of sum_k column[k] * sqrt(keys[k]): the coefficients' common
+    sign when they agree, else RadicalSum.sign's refinement."""
+    pos = neg = False
+    for v in column:
+        if v > 0:
+            pos = True
+        elif v < 0:
+            neg = True
+    if pos and neg:
+        return RadicalSum({key: v for key, v in zip(keys, column) if v}).sign()
+    return 1 if pos else -1 if neg else 0
 
 
 def solve_exact(a_rows, b, c, basis):
-    """Exact route: a_rows/b carry Fractions; c entries may be Fractions or
-    RadicalSums.  Returns (x, objective, basis) with x a list of Fractions
-    and the objective a RadicalSum.
+    """Exact route: a_rows and b carry ints or Fractions; c entries may be
+    rationals or RadicalSums.  Returns (x, objective, basis) with x a list
+    of Fractions and the objective a RadicalSum.
     """
     m = len(a_rows)
     n = len(a_rows[0]) if m else 0
@@ -122,52 +143,48 @@ def solve_exact(a_rows, b, c, basis):
         if v < 0:
             raise LPError("negative right-hand side; basis is not feasible")
     basis = list(basis)
-    t = [[v if type(v) is Fraction else Fraction(v) for v in row] + [Fraction(rhs)]
+    scale = lcm(*(v.denominator for v in b))
+    t = [list(row) + [rhs.numerator * (scale // rhs.denominator)]
          for row, rhs in zip(a_rows, b)]
-    c = [_rad(v) for v in c]
-    z = list(c)
+    keys, cost, _ = integer_rows(c)
+    cost = [row + [0] for row in cost]
+    t += cost
+    # price out the starting basis, an identity in A: only the cost rows move
     for i, bi in enumerate(basis):
-        cb = c[bi]
-        if not cb.is_zero():
-            row = t[i]
-            for j in range(n):
-                if row[j]:
-                    z[j] = z[j] - cb * row[j]
+        pivot(t, i, bi)
+    # cached reduced-cost signs; the last entry, the RHS column's, is unread
+    signs = [None] * (n + 1)
 
     for _ in range(_MAX_PIVOTS):
         entering = -1
         for j in range(n):
-            if z[j].sign() < 0:
+            s = signs[j]
+            if s is None:
+                s = signs[j] = _sign(keys, [row[j] for row in cost])
+            if s < 0:
                 entering = j
                 break
         if entering < 0:
             break
-        best = -1
-        best_ratio = None
+        best, best_a = -1, 0
         for i in range(m):
             aij = t[i][entering]
-            if aij > 0:
-                ratio = t[i][n] / aij
-                if best < 0 or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < basis[best]):
-                    best, best_ratio = i, ratio
+            # Bland's ratio test, t[i][n] / aij against the best row's,
+            # cross-multiplied; ties go to the smaller basic column
+            if aij > 0 and (best < 0 or (d := t[i][n] * best_a - t[best][n] * aij) < 0
+                            or (d == 0 and basis[i] < basis[best])):
+                best, best_a = i, aij
         if best < 0:
             raise Unbounded("objective unbounded below")
-        # the tableau step is geometry.pivot; the objective row, which holds
-        # RadicalSums, follows at the pivot row's nonzero columns
-        nz = pivot(t, best, entering)
-        prow = t[best]
-        ze = z[entering]
-        if not ze.is_zero():
-            for j in (nz[:-1] if prow[n] else nz):
-                z[j] = z[j] - ze * prow[j]
+        for j in pivot(t, best, entering):
+            signs[j] = None
         basis[best] = entering
     else:
         raise PivotLimit("pivot limit reached")
 
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
-        x[bi] = t[i][n]
+        x[bi] = Fraction(t[i][n], scale)
     obj = RadicalSum()
     for j, v in enumerate(x):
         if v:
@@ -182,24 +199,22 @@ def check_certificate(a_rows, b, c, basis) -> bool:
     (must be feasible) and the dual vector, then checks every reduced cost.
     """
     m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
     basis = list(basis)
     if len(basis) != m or len(set(basis)) != m:
         return False
-    c = [_rad(v) for v in c]
     bmat = [[a_rows[i][j] for j in basis] for i in range(m)]
-    primal = solve_linear(bmat, [Fraction(v) for v in b])
+    primal = solve_linear(bmat, b)
     # a singular basis matrix, or an infeasible basic solution
     if primal is None or primal[1] or any(v < 0 for v in primal[0]):
         return False
-    bt = [[bmat[i][j] for i in range(m)] for j in range(m)]
-    y = solve_linear(bt, [c[j] for j in basis])[0]
-    for j in range(n):
-        reduced = c[j]
-        for i in range(m):
-            aij = a_rows[i][j]
+    # B^T y = c_B with one augmented column per radicand of the costs
+    keys, reduced, _ = integer_rows(c)
+    dual = gauss_jordan([[row[j] for row in bmat] + [cost[bj] for cost in reduced]
+                         for j, bj in enumerate(basis)], m)[0]
+    for i, row in enumerate(a_rows):
+        y = [(k, v) for k, v in enumerate(dual[i][m:]) if v]
+        for j, aij in enumerate(row):
             if aij:
-                reduced = reduced - y[i] * aij
-        if reduced.sign() < 0:
-            return False
-    return True
+                for k, v in y:
+                    reduced[k][j] -= v * aij
+    return all(_sign(keys, column) >= 0 for column in zip(*reduced))

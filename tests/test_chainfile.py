@@ -250,6 +250,29 @@ def test_repeated_strings_are_parsed_once_and_bad_ones_reported_first(monkeypatc
         parse_chain(json.dumps(doc))
 
 
+def test_grid_values_are_parsed_once_per_token_and_bad_ones_reported_first(monkeypatch):
+    from polychain import chainfile
+
+    u = random_grid_function(4, 2, 6)
+    text = emit_grid_function(u)
+    parsed = []
+
+    def counted(value, where):
+        parsed.append(value)
+        return parse_rational(value, where)
+    monkeypatch.setattr(chainfile, "parse_rational", counted)
+    loaded = parse_grid_function(text)
+    assert loaded == u and all(type(v) is F for v in loaded.values)
+    tokens = text.split()[2:]
+    assert sorted(parsed) == sorted(set(tokens)) and len(parsed) < len(tokens)
+    # the first bad token is named with its own index, repeated or not
+    for bad, message in (("2 2 1 x 1 x", "grid value 1: not a rational: 'x'"),
+                         ("2 2 1 1 1 1/0", "grid value 3: not a rational: '1/0'")):
+        with pytest.raises(ChainFileError) as info:
+            parse_grid_function(bad)
+        assert str(info.value) == message
+
+
 def test_a_true_coordinate_is_refused_after_a_one(tmp_path, capsys):
     from polychain.cli import main
 

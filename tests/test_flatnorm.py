@@ -1,10 +1,11 @@
 """Flat norm LP: frozen values, witness replay, dual-route agreement."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from polychain.chainfile import InputLimitError
 from polychain.chains import ChainError, PolyChain
 from polychain.flatnorm import _flat_program, flat_norm, flat_norm_oracle
 from polychain.gen import random_chain
+from polychain.geometry import det, solve_linear
 from polychain.grid import embed_on, grid_complex
 from polychain.groups import CIRCLE, INTEGER, REAL
 from polychain.radicals import RadicalSum
@@ -224,6 +226,96 @@ def test_certificate_referee_rejects_a_wrong_basis():
     assert simplex_lp.check_certificate(a_rows, b, c, final)
     # the all-slack starting basis keeps the full perimeter: not optimal
     assert not simplex_lp.check_certificate(a_rows, b, c, starting)
+
+
+def cost_of(c, x):
+    return sum((cj * xj for cj, xj in zip(c, x) if xj), RadicalSum())
+
+
+def feasible_bases(a_rows, b, c):
+    """(basis, basic solution, objective) of every feasible basis of
+    min c.x, A x = b, x >= 0, enumerated in exact arithmetic."""
+    m, n = len(a_rows), len(a_rows[0])
+    out = []
+    for basis in combinations(range(n), m):
+        bmat = [[row[j] for j in basis] for row in a_rows]
+        if det(bmat) == 0:
+            continue
+        xb = solve_linear(bmat, b)[0]
+        if all(v >= 0 for v in xb):
+            x = [F(0)] * n
+            for j, v in zip(basis, xb):
+                x[j] = v
+            out.append((list(basis), x, cost_of(c, x)))
+    return out
+
+
+def hand_made_program(rng, costs):
+    """A = [I | N] with N drawn from 0, +-1, 2, 3 and -2, a positive
+    rational b, and positive costs drawn from `costs` (so the program is
+    bounded); the slacks 0..m-1 are the identity starting basis."""
+    m, extra = 3, 4
+    a_rows = [[F(int(i == r)) for i in range(m)] + [F(rng.choice((0, 0, 1, -1, 2, 3, -2)))
+                                                 for _ in range(extra)]
+              for r in range(m)]
+    b = [F(rng.randint(1, 12), rng.randint(1, 5)) for _ in range(m)]
+    return a_rows, b, [rng.choice(costs) for _ in range(m + extra)]
+
+
+def check_against_brute_force(a_rows, b, c):
+    """solve_exact reaches the least objective of any feasible basis, and
+    check_certificate accepts its basis and rejects every worse one.
+    Returns the final basis matrix's determinant and the number of worse
+    feasible bases."""
+    x, obj, final = simplex_lp.solve_exact(a_rows, b, c, range(len(a_rows)))
+    assert all(v >= 0 for v in x)
+    assert [sum(a * v for a, v in zip(row, x)) for row in a_rows] == b
+    assert obj == cost_of(c, x)
+    feasible = feasible_bases(a_rows, b, c)
+    assert obj == min(value for _, _, value in feasible)
+    assert simplex_lp.check_certificate(a_rows, b, c, final)
+    worse = [basis for basis, _, value in feasible if value > obj]
+    for basis in worse:
+        assert not simplex_lp.check_certificate(a_rows, b, c, basis)
+    return det([[row[j] for j in final] for row in a_rows]), len(worse)
+
+
+def test_exact_route_pivots_through_fractions_to_the_brute_force_optimum():
+    # the flat programs measured pivot only on +-1, so these hand-made
+    # programs are what takes solve_exact and its certificate through
+    # Fraction entries
+    root2, root3 = RadicalSum.sqrt_rational(2), RadicalSum.sqrt_rational(3)
+    costs = (F(1, 2), F(3), F(7, 4), root2, root3 / 2, root2 + F(1, 3),
+             root3 - root2 / 2)
+    rng = random.Random(7)
+    dets, worse = [], 0
+    for _ in range(40):
+        d, w = check_against_brute_force(*hand_made_program(rng, costs))
+        dets.append(abs(d))
+        worse += w
+    # some final bases are not unimodular: a pivot other than +-1 was taken
+    assert sum(d > 1 for d in dets) >= 5 and worse >= 40
+
+
+def test_exact_route_folds_radicands_that_depend_across_columns():
+    root2, root3 = RadicalSum.sqrt_rational(2), RadicalSum.sqrt_rational(3)
+    root20402 = RadicalSum.sqrt_rational(20402)   # 101*sqrt(2), kept as key 20402
+    assert list(root20402.terms) == [20402]
+    three = F(1, 2) + root2 / 3 + root3 / 5       # radicands 1, 2 and 3
+    costs = (root2, root20402 / 101, root20402 / 100, three, root3 + 1, F(2, 3))
+    rng = random.Random(11)
+    for _ in range(30):
+        check_against_brute_force(*hand_made_program(rng, costs))
+    # two equal columns priced sqrt(2) and sqrt(20402)/101: once one is
+    # basic the other's reduced cost is exactly zero, which only folding
+    # the radicands into one key decides
+    a_rows = [[F(1), F(0), F(1), F(1)], [F(0), F(1), F(2), F(2)]]
+    b = [F(5, 2), F(5)]
+    c = [F(3), F(4), root2, root20402 / 101]
+    x, obj, final = simplex_lp.solve_exact(a_rows, b, c, [0, 1])
+    assert obj == cost_of(c, x) == root2 * F(5, 2)
+    assert simplex_lp.check_certificate(a_rows, b, c, final)
+    assert check_against_brute_force(a_rows, b, c)[1] > 0
 
 
 def test_routes_agree_on_larger_grids():
