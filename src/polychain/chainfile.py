@@ -207,9 +207,11 @@ def _chain_text(chain: PolyChain, pad: str, blocks=None) -> str:
     sort_keys=True) lays it out when the object opens at indent `pad`.
 
     Every string in the document is a group tag or a str() of a Fraction,
-    which JSON quotes without escapes.  `blocks` maps a simplex to its
-    rendered vertex list at this `pad`; a caller writing several chains at
-    one pad passes one dict, so a simplex they share is rendered once."""
+    which JSON quotes without escapes; a coordinate's text is made from the
+    simplex's integer points over its denominator.  `blocks` maps a simplex
+    to its rendered vertex list at this `pad`; a caller writing several
+    chains at one pad passes one dict, so a simplex they share is rendered
+    once."""
     if blocks is None:
         blocks = {}
     p1, p2, p3, p4, p5 = (pad + "  " * i for i in range(1, 6))
@@ -223,14 +225,25 @@ def _chain_text(chain: PolyChain, pad: str, blocks=None) -> str:
     coord_sep = '",\n' + p5 + '"'
     vertex_open = "%s[\n%s\"" % (p4, p5)
     vertex_close = '"\n%s]' % p4
+    texts: dict[tuple, str] = {}
+
+    def coord_text(c, den):
+        # a grid's few coordinates recur in every cell: each value's text is
+        # made once, from the simplex's integers, with no Fraction vertex
+        text = texts.get((c, den))
+        if text is None:
+            text = texts[c, den] = str(Fraction(c, den))
+        return text
+
     simplices = []
     for simplex, coeff in chain.items_sorted():
         coeff_text = str(int(coeff)) if integral else '"%s"' % coeff
         vertices = blocks.get(simplex)
         if vertices is None:
+            den = simplex.den
             vertices = blocks[simplex] = ",\n".join(
-                vertex_open + coord_sep.join(map(str, v)) + vertex_close
-                for v in simplex.vertices)
+                vertex_open + coord_sep.join([coord_text(c, den) for c in p]) + vertex_close
+                for p in simplex.num)
         simplices.append('%s{\n%s"coeff": %s,\n%s"vertices": [\n%s\n%s]\n%s}'
                          % (p2, p3, coeff_text, p3, vertices, p3, p2))
     if simplices:

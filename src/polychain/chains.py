@@ -20,10 +20,15 @@ validated to be supported on it, and hold the complex's stored simplices
 (`simplices(k)[index_of(k, s)]`) as their keys, so each grid cell's hash
 and volume are computed once per process; their boundaries are read off
 the complex's incidence table instead of being built from vertex tuples.
-A free chain's boundary makes each face from the sorted vertex tuple of
-its parent, which is sorted already, without re-validating it; a
-pushforward by x -> r*x + b with r > 0 maps each term's simplex with
-`Simplex.moved`, which carries its geometry over.
+A free chain's boundary makes each face from the sorted integer points
+of its parent (`Simplex.num`), which are sorted already, by dropping one
+and dividing out the gcd with the denominator (`geometry.lowest_terms`),
+without re-validating it; a pushforward by x -> r*x + b with r > 0 maps
+each term's simplex with `Simplex.moved`, which carries its geometry
+over; and a prism maps each term's integer points by both maps over one
+common denominator, sorts each prism simplex's points as integers
+(`geometry.canonical`) and reduces them once.  `PolyChain.build` sorts a
+vertex tuple by the integer points of its `Simplex`.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import geometry
-from .geometry import AffineMap, Simplex, canonical, faces
+from .geometry import AffineMap, Simplex, canonical, faces, lowest_terms
 from .groups import REAL, Group
 from .radicals import RadicalSum
 
@@ -59,6 +64,22 @@ def mass_from_totals(totals) -> RadicalSum:
     return RadicalSum.from_weights(weights)
 
 
+def summed(group: Group, pairs) -> dict:
+    """A chain's terms from (key, coeff) pairs, keyed by simplex or by id,
+    in first-seen order: repeated keys add up through the group, and a
+    total that reaches zero drops its key, which a later pair appends
+    again."""
+    terms: dict = {}
+    for s, c in pairs:
+        if s in terms:
+            c = group.add(terms[s], c)
+        if c:
+            terms[s] = c
+        else:
+            terms.pop(s, None)
+    return terms
+
+
 class PolyChain:
     __slots__ = ("group", "ambient_dim", "dim", "terms", "complex", "_mass", "_boundary")
 
@@ -81,29 +102,29 @@ class PolyChain:
         if complex is not None and complex.ambient_dim != ambient_dim:
             raise ChainError("chain in R^%d on a complex in R^%d"
                              % (ambient_dim, complex.ambient_dim))
-        terms: dict[Simplex, Fraction] = {}
         stored = complex.simplices(dim) if complex is not None else None
-        for vertices, coeff in items:
-            verts, sign = canonical(vertices)
-            if sign == 0:
-                continue
-            if len(verts) != dim + 1:
-                raise ChainError("simplex with %d vertices in a %d-chain" % (len(verts), dim))
-            if len(verts[0]) != ambient_dim:
-                raise ChainError("vertex dimension %d != ambient %d" % (len(verts[0]), ambient_dim))
-            g = group.normalize(coeff)
-            if sign < 0:
-                g = group.neg(g)
-            s = Simplex(verts)
-            if complex is not None:
-                s = stored[complex.index_of(dim, s)]
-            if s in terms:
-                g = group.add(terms[s], g)
-            if g:
-                terms[s] = g
-            else:
-                terms.pop(s, None)
-        return cls(group, ambient_dim, dim, terms, complex)
+
+        def signed():
+            for vertices, coeff in items:
+                s = Simplex(vertices)
+                num, sign = canonical(s.num)
+                if sign == 0:
+                    continue
+                if len(num) != dim + 1:
+                    raise ChainError("simplex with %d vertices in a %d-chain" % (len(num), dim))
+                if len(num[0]) != ambient_dim:
+                    raise ChainError("vertex dimension %d != ambient %d"
+                                     % (len(num[0]), ambient_dim))
+                g = group.normalize(coeff)
+                if sign < 0:
+                    g = group.neg(g)
+                if num != s.num:
+                    s = Simplex.trusted(num, s.den)
+                if complex is not None:
+                    s = stored[complex.index_of(dim, s)]
+                yield s, g
+
+        return cls(group, ambient_dim, dim, summed(group, signed()), complex)
 
     @classmethod
     def zero(cls, group: Group, ambient_dim: int, dim: int, complex=None) -> "PolyChain":
@@ -222,22 +243,16 @@ class PolyChain:
             face = Simplex.trusted  # faces of sorted tuples stay sorted
 
             def signed_faces(simplex):
-                return [(face(fv), sign) for fv, sign in faces(simplex.vertices)]
+                den = simplex.den
+                return [(face(*lowest_terms(fv, den)), sign) for fv, sign in faces(simplex.num)]
         else:
             incidence, lower = cx.incidence(k), cx.simplices(k - 1)
 
             def signed_faces(simplex):
                 return [(lower[f], sign) for f, sign in incidence[cx.index_of(k, simplex)]]
-        terms: dict[Simplex, Fraction] = {}
-        for simplex, coeff in self.terms.items():
-            for s, sign in signed_faces(simplex):
-                c = coeff if sign > 0 else g.neg(coeff)
-                if s in terms:
-                    c = g.add(terms[s], c)
-                if c:
-                    terms[s] = c
-                else:
-                    terms.pop(s, None)
+        terms = summed(g, ((s, coeff if sign > 0 else g.neg(coeff))
+                            for simplex, coeff in self.terms.items()
+                            for s, sign in signed_faces(simplex)))
         return PolyChain(self.group, self.ambient_dim, self.dim - 1, terms, self.complex)
 
     def mass_exact(self) -> RadicalSum:
@@ -297,18 +312,31 @@ def prism(chain: PolyChain, from_map: AffineMap, to_map: AffineMap) -> PolyChain
 
         boundary(prism(c)) = pushforward(c, to_map) - pushforward(c, from_map)
                              - prism(boundary(c))
+
+    The terms are those, in the order, that `PolyChain.build` gives on the
+    prism simplices' vertex tuples, computed on integer points.
     """
     g = chain.group
-    items = []
-    for s, coeff in chain.terms.items():
-        lower = [from_map(v) for v in s.vertices]
-        upper = [to_map(v) for v in s.vertices]
-        k = s.dim
-        for i in range(k + 1):
-            verts = tuple(lower[: i + 1]) + tuple(upper[i:])
-            c = coeff if i % 2 == 0 else g.neg(coeff)
-            items.append((verts, c))
-    return PolyChain.build(chain.group, chain.ambient_dim, chain.dim + 1, items)
+    a0, s0, q0 = from_map.lattice
+    a1, s1, q1 = to_map.lattice
+    q = lcm(q0, q1)
+    m0, m1 = q // q0, q // q1
+
+    def pieces():
+        for s, coeff in chain.terms.items():
+            # p/den goes to (a*p + den*s) / (q_map*den), both maps over q*den
+            den = s.den
+            b0 = [m0 * den * t for t in s0]
+            b1 = [m1 * den * t for t in s1]
+            lower = [tuple([m0 * a0 * x + t for x, t in zip(p, b0)]) for p in s.num]
+            upper = [tuple([m1 * a1 * x + t for x, t in zip(p, b1)]) for p in s.num]
+            for i in range(len(lower)):
+                num, sign = canonical(lower[: i + 1] + upper[i:])
+                if sign:
+                    yield (Simplex.trusted(*lowest_terms(num, q * den)),
+                           coeff if (i % 2 == 0) == (sign > 0) else g.neg(coeff))
+
+    return PolyChain(g, chain.ambient_dim, chain.dim + 1, summed(g, pieces()))
 
 
 # ---------------------------------------------------------------------------

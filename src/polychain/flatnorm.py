@@ -90,9 +90,19 @@ def _flat_program(chain: PolyChain) -> _FlatProgram:
     k = chain.dim
     nr = complex.count(k)
     nq = complex.count(k + 1) if k < complex.ambient_dim else 0
-    p = complex.chain_vector(chain)
     inc = complex.incidence(k + 1) if nq else ()
-    signs = [1 if v >= 0 else -1 for v in p]
+    # one pass over the chain's terms: a row where p is zero keeps sign 1,
+    # b = 0 and its r+ slack in the basis
+    zero = Fraction(0)
+    p, b = [zero] * nr, [zero] * nr
+    signs, basis = [1] * nr, list(range(nr))
+    for s, v in chain.terms.items():
+        i = complex.index_of(k, s)
+        p[i] = v
+        b[i] = abs(v)
+        if v < 0:
+            signs[i] = -1
+            basis[i] = nr + i
     rows, cols, vals = [], [], []
     for i, s in enumerate(signs):
         rows += (i, i)
@@ -107,9 +117,7 @@ def _flat_program(chain: PolyChain) -> _FlatProgram:
     vol_r = [s.volume() for s in complex.simplices(k)]
     vol_q = [s.volume() for s in complex.simplices(k + 1)] if nq else []
     return _FlatProgram(nr=nr, nq=nq, p=p, inc=inc, rows=rows, cols=cols, vals=vals,
-                        b=[abs(v) for v in p],
-                        c=vol_r + vol_r + vol_q + vol_q,
-                        basis=[i if p[i] >= 0 else nr + i for i in range(nr)])
+                        b=b, c=vol_r + vol_r + vol_q + vol_q, basis=basis)
 
 
 def _witness(chain: PolyChain, prog: _FlatProgram, q_vec) -> tuple[PolyChain, PolyChain]:

@@ -1,9 +1,16 @@
 """Exact geometry of rational simplices in R^d (d <= 3 at desk scale).
 
-Vertices are tuples of Fractions.  Squared volumes are exact rationals
-(Gram determinant over (k!)^2); real volumes are RadicalSums derived from
-them.  Orientation is carried by vertex order; `canonical` folds the parity
-of the sorting permutation into a sign so chains can store sorted tuples.
+A simplex is stored on the integer lattice: its vertices as integer point
+tuples `num` over one positive common denominator `den`, in lowest terms
+(`lattice` makes the pair from Fraction vertices, `lowest_terms` divides
+out a common factor), so hashing and equality compare integers only.  The
+Fraction vertex tuple `Simplex.vertices` is a view built on first read,
+for output and the predicates below.  Squared volumes are exact rationals,
+the integer Gram determinant of the lattice edges over den^(2k) (k!)^2;
+real volumes are RadicalSums derived from them.  Orientation is carried by
+vertex order; `canonical` folds the parity of the sorting permutation into
+a sign so chains can store sorted tuples, and sorts a simplex's integer
+points as it would their Fractions.
 
 Tangency and overlap predicates are decided exactly with small rational
 linear algebra (row reduction, vertex enumeration of intersection
@@ -20,9 +27,10 @@ in closed form up to 3x3 (Gram matrices of simplices in R^3 and below) and
 calls `gauss_jordan` above that.
 
 `AffineMap` is the scalar map x -> r*x + b with r > 0, the only kind the
-approximation pipeline moves chains by.  Such a map keeps the
-lexicographic order of vertices, so `Simplex.moved` builds the image
-simplex directly, already canonical, and carries the squared volume
+approximation pipeline moves chains by; it holds r and b over one
+denominator as well.  Such a map keeps the lexicographic order of
+vertices, so `Simplex.moved` builds the image simplex directly in
+integers, already canonical, and carries the squared volume
 (times r^(2k)) and known affine-hull equalities over exactly instead of
 recomputing them; the image's inequalities are derived if something reads
 its hull.
@@ -31,8 +39,8 @@ its hull.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import chain, combinations
+from math import factorial, gcd, lcm
 
 from .radicals import RadicalSum
 
@@ -169,27 +177,58 @@ def as_point(coords) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
+def lattice(verts) -> tuple[tuple, int]:
+    """Fraction point tuples as (num, den): integer points over one positive
+    common denominator, in lowest terms.
+
+    den is the least common denominator of the coordinates, so no prime
+    divides den and every entry: a coordinate whose denominator carries
+    the prime's full power in den has a numerator it does not divide."""
+    den = lcm(*[x.denominator for p in verts for x in p])
+    if den == 1:
+        return tuple([tuple([x.numerator for x in p]) for p in verts]), 1
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in p])
+                  for p in verts]), den
+
+
+def lowest_terms(points, den: int) -> tuple[tuple, int]:
+    """Integer points over den, divided by the gcd of den and all their
+    entries: the (num, den) that `Simplex` hashes and compares on."""
+    g = gcd(den, *chain.from_iterable(points))
+    if g == 1:
+        return points, den
+    return tuple([tuple([c // g for c in p]) for p in points]), den // g
+
+
 def canonical(vertices) -> tuple[Vertices, int]:
     """Sort vertices lexicographically; return (sorted, parity sign).
 
-    Sign is 0 when a vertex repeats (degenerate tuple, the zero chain).
+    The points may be Fraction point tuples or the integer points of one
+    (num, den) pair, which sort as their Fractions do since den > 0.  Sign
+    is 0 when a vertex repeats (degenerate tuple, the zero chain).
     """
-    verts = [as_point(v) for v in vertices]
-    n = len(verts)
-    if len(set(verts)) != n:
-        return tuple(sorted(verts)), 0
+    verts = list(vertices)
     sign = 1
-    for i in range(n):  # insertion sort, counting swaps
+    for i in range(len(verts)):  # insertion sort, counting swaps
         j = i
         while j > 0 and verts[j - 1] > verts[j]:
             verts[j - 1], verts[j] = verts[j], verts[j - 1]
             sign = -sign
             j -= 1
+    # sorted, a repeated vertex sits next to its copy
+    if any(a == b for a, b in zip(verts, verts[1:])):
+        sign = 0
     return tuple(verts), sign
 
 
 class Simplex:
     """Oriented k-simplex: ordered rational vertices, orientation = order.
+
+    Stored as `num`, the vertices as integer point tuples, over `den`, one
+    positive common denominator, in lowest terms (`lowest_terms`): equal
+    simplices have equal (num, den), so hashing and equality read only
+    integers.  `vertices`, the tuple of Fraction points, is a view built
+    on first read and kept, for output and the hull predicates.
 
     Immutable: the vertices never change after construction, so the hash
     is computed once, and the squared volume, volume, bounding box,
@@ -200,7 +239,7 @@ class Simplex:
     to the image under a map r*x + b with r > 0.
     """
 
-    __slots__ = ("vertices", "_hash", "_sqvol", "_vol", "_bbox", "_eqs", "_hull")
+    __slots__ = ("num", "den", "_verts", "_hash", "_sqvol", "_vol", "_bbox", "_eqs", "_hull")
 
     def __init__(self, vertices):
         verts = tuple(as_point(v) for v in vertices)
@@ -211,52 +250,69 @@ class Simplex:
             raise GeometryError("mixed ambient dimensions")
         if len(verts) > d + 1:
             raise GeometryError("more vertices than ambient dimension allows")
-        self.vertices = verts
-        self._hash = hash(verts)
-        self._sqvol = None
-        self._vol = None
-        self._bbox = None
-        self._eqs = None
-        self._hull = None
+        self._setup(*lattice(verts))
+        self._verts = verts
 
     @classmethod
-    def trusted(cls, vertices, sqvol=None, vol=None, eqs=None) -> "Simplex":
-        """The simplex on `vertices`, already a valid tuple of Fraction point
-        tuples (a face of a simplex, a grid cell, an image under a map),
-        with its squared volume, volume and equalities where already known;
-        nothing is checked or recomputed."""
+    def trusted(cls, num, den, sqvol=None, vol=None, eqs=None) -> "Simplex":
+        """The simplex on integer points `num` over `den`, already a valid
+        vertex tuple in lowest terms (a face of a simplex, a grid cell, an
+        image under a map), with its squared volume, volume and equalities
+        where already known; nothing is checked or recomputed."""
         s = cls.__new__(cls)
-        s.vertices = vertices
-        s._hash = hash(vertices)
-        s._sqvol = sqvol
-        s._vol = vol
-        s._bbox = None
-        s._eqs = eqs
-        s._hull = None
+        s._setup(num, den, sqvol, vol, eqs)
         return s
+
+    def _setup(self, num, den, sqvol=None, vol=None, eqs=None):
+        self.num = num
+        self.den = den
+        self._verts = None
+        self._hash = hash((num, den))
+        self._sqvol = sqvol
+        self._vol = vol
+        self._bbox = None
+        self._eqs = eqs
+        self._hull = None
+
+    @property
+    def vertices(self) -> Vertices:
+        """The Fraction vertex tuple, built from (num, den) on first read."""
+        verts = self._verts
+        if verts is None:
+            den = self.den
+            verts = self._verts = tuple([tuple([Fraction(c, den) for c in p])
+                                         for p in self.num])
+        return verts
 
     @property
     def dim(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.num) - 1
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.vertices[0])
+        return len(self.num[0])
 
     def edges(self):
         v0 = self.vertices[0]
         return [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
 
+    def lattice_edges(self):
+        """The edges from the first vertex times den, as integer tuples."""
+        p0 = self.num[0]
+        return [tuple([a - b for a, b in zip(p, p0)]) for p in self.num[1:]]
+
     def sq_volume(self) -> Fraction:
-        """Exact (H^k volume)^2 = det(Gram)/(k!)^2; the source of truth."""
+        """Exact (H^k volume)^2 = det(Gram)/(k!)^2; the source of truth.
+        The Gram matrix is taken of the integer edges, so its determinant
+        is an integer, divided once by den^(2k) (k!)^2."""
         if self._sqvol is None:
-            edges = self.edges()
+            edges = self.lattice_edges()
             k = len(edges)
             if k == 0:
                 self._sqvol = Fraction(1)
             else:
-                gram = [[sum(a * b for a, b in zip(e1, e2)) for e2 in edges] for e1 in edges]
-                self._sqvol = det(gram) / (factorial(k) ** 2)
+                gram = [[sum([a * b for a, b in zip(e1, e2)]) for e2 in edges] for e1 in edges]
+                self._sqvol = Fraction(det(gram), self.den ** (2 * k) * factorial(k) ** 2)
         return self._sqvol
 
     def volume(self) -> RadicalSum:
@@ -269,8 +325,10 @@ class Simplex:
 
     def bbox(self):
         if self._bbox is None:
-            cols = tuple(zip(*self.vertices))
-            self._bbox = tuple(map(min, cols)), tuple(map(max, cols))
+            cols = tuple(zip(*self.num))
+            den = self.den
+            self._bbox = (tuple([Fraction(min(c), den) for c in cols]),
+                          tuple([Fraction(max(c), den) for c in cols]))
         return self._bbox
 
     def equalities(self):
@@ -290,35 +348,40 @@ class Simplex:
     def moved(self, f: "AffineMap") -> "Simplex":
         """The image under f: x -> r*x + b, which needs r > 0.
 
-        Such a map keeps the lexicographic order of the vertices, so the
-        image is canonical with the same orientation.  Its squared volume is
-        this one's times r^(2k), the same object when r == 1 (which also
-        shares the volume), and its equalities are this one's carried over
-        exactly: an equality n.x = c becomes n.y = r*c + n.b, which is what
-        recomputing it on the image gives.  A volume is not scaled but
-        derived again from the squared volume, so it prints as a recomputed
-        one does.  What is not known here, and the barycentric inequalities
-        (few images are ever asked for them), are left to compute."""
+        With r = a/q and b = s/q over f's one denominator (`f.lattice`), a
+        point p/den goes to (a*p + den*s) / (q*den), so the image is
+        integer arithmetic and one gcd.  Such a map keeps the lexicographic
+        order of the vertices, so the image is canonical with the same
+        orientation.  Its squared volume is this one's times r^(2k), the
+        same object when r == 1 (which also shares the volume), and its
+        equalities are this one's carried over exactly: an equality
+        n.x = c becomes n.y = r*c + n.b, which is what recomputing it on
+        the image gives.  A volume is not scaled but derived again from the
+        squared volume, so it prints as a recomputed one does.  What is not
+        known here, and the barycentric inequalities (few images are ever
+        asked for them), are left to compute."""
+        a, s, q = f.lattice
         r, b = f.scale, f.shift
+        den = self.den
+        shift = [t * den for t in s]
+        pts = tuple([tuple([a * x + t for x, t in zip(p, shift)]) for p in self.num])
         sqvol, vol, eqs = self._sqvol, self._vol, self._eqs
-        if r == 1:
-            verts = tuple([tuple([x + t for x, t in zip(v, b)]) for v in self.vertices])
-        else:
-            verts = tuple([tuple([r * x + t for x, t in zip(v, b)]) for v in self.vertices])
+        scaled = a != q  # r != 1
+        if scaled:
             vol = None
             if sqvol is not None:
-                sqvol = sqvol * r ** (2 * len(verts) - 2)
+                sqvol = sqvol * r ** (2 * len(pts) - 2)
         if eqs is not None:
-            if r != 1:
+            if scaled:
                 eqs = [(n, r * c) for n, c in eqs]
             eqs = tuple([(n, c + _dot(n, b)) for n, c in eqs])
-        return Simplex.trusted(verts, sqvol, vol, eqs)
+        return Simplex.trusted(*lowest_terms(pts, q * den), sqvol, vol, eqs)
 
     def __eq__(self, other):
         if self is other:
             return True
         return (isinstance(other, Simplex) and self._hash == other._hash
-                and self.vertices == other.vertices)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
         return self._hash
@@ -344,15 +407,21 @@ def faces(vertices):
 
 class AffineMap:
     """x -> r*x + b with exact rational r > 0 and b: the identity, homotheties,
-    translations and their composites, the only maps the pipeline builds."""
+    translations and their composites, the only maps the pipeline builds.
 
-    __slots__ = ("scale", "shift")
+    `scale` and `shift` hold r and b as Fractions; `lattice` holds them as
+    integers over one positive denominator q, (a, s, q) with r = a/q and
+    b = s/q, which is what `Simplex.moved` computes with."""
+
+    __slots__ = ("scale", "shift", "lattice")
 
     def __init__(self, scale, shift):
-        self.scale = Fraction(scale)
-        if self.scale <= 0:
-            raise GeometryError("affine map needs a positive scale, got %s" % self.scale)
+        self.scale = r = Fraction(scale)
+        if r <= 0:
+            raise GeometryError("affine map needs a positive scale, got %s" % r)
         self.shift = as_point(shift)
+        (point,), q = lattice([(r,) + self.shift])
+        self.lattice = (point[0], point[1:], q)
 
     @classmethod
     def identity(cls, d: int) -> "AffineMap":

@@ -23,10 +23,13 @@ vertex tuples do (`id_key`; complex-backed chains sort their terms this
 way).  Incidence rows look each face up in a dict keyed by the integer
 cells.
 
-A dimension's `Simplex` objects (Fraction vertices) and its Simplex -> id
-index are made the first time something asks for them (`simplices`,
-`index_of`, `id_key`, `chain_from_ids`, `chain_vector`).  `index_of` is the
-one Simplex -> id lookup; `simplices(k)[i]` is the stored object of id i.
+A dimension's `Simplex` objects and its Simplex -> id index are made the
+first time something asks for them (`simplices`, `index_of`, `id_key`,
+`chain_from_ids`, `chain_vector`).  A stored simplex is its cell's lattice
+tuple over den = n, in lowest terms, so it equals and hashes like the
+simplex built from the Fraction vertices, and no Fraction is made until
+something reads `vertices`.  `index_of` is the one Simplex -> id lookup;
+`simplices(k)[i]` is the stored object of id i.
 Volumes are translation invariant, so each shape takes one Gram
 determinant and every cell of the shape gets its squared volume and volume
 from that table entry.  Each simplex of a complex is one stored object, so
@@ -51,7 +54,7 @@ from itertools import combinations, permutations, product
 from math import ceil, factorial, floor
 
 from . import chains as _chains
-from .geometry import Simplex, det, faces, simplex_in_simplex
+from .geometry import Simplex, det, faces, lowest_terms, point_in_simplex
 from .radicals import RadicalSum
 
 
@@ -113,7 +116,7 @@ def _kuhn_shapes(d: int):
 
 class GridComplex:
     __slots__ = ("ambient_dim", "resolution", "_cells", "_shape_of", "_ids",
-                 "_fpoint", "_simplices", "_index", "_top_orient", "_cube_cells",
+                 "_simplices", "_index", "_top_orient", "_cube_cells",
                  "_incidence", "_coboundary")
 
     def __init__(self, ambient_dim: int, resolution: int):
@@ -149,7 +152,6 @@ class GridComplex:
         self._top_orient = tuple(top_sign[si] for si in self._shape_of[d])
 
         self._ids: dict[int, dict] = {}
-        self._fpoint = None
         self._simplices: dict[int, tuple] = {}
         self._index: dict[int, dict] = {}
         self._cube_cells: dict[int, dict] = {}
@@ -158,20 +160,24 @@ class GridComplex:
 
     def _make(self, k: int) -> None:
         """Build dimension k's Simplex objects and Simplex -> id index, with
-        squared volumes and volumes from one Gram determinant per shape."""
+        squared volumes and volumes from one Gram determinant per shape.
+
+        A stored cell is its lattice tuple over den = n in lowest terms.
+        For k >= 1 two points of a cell differ by a 0/1 step that is 1 on
+        some axis, so the gcd is already 1 and the tuple is used as is;
+        only 0-cells are divided by theirs."""
         n = self.resolution
-        if self._fpoint is None:
-            coord = [Fraction(i, n) for i in range(n + 1)]
-            self._fpoint = {p: tuple([coord[c] for c in p])
-                            for p in product(range(n + 1), repeat=self.ambient_dim)}
-        point = self._fpoint.__getitem__
+        known = Simplex.trusted
         shape_vol = []
         for shape in _kuhn_shapes(self.ambient_dim)[0][k]:
-            s = Simplex(tuple(map(point, shape)))
+            s = known(*lowest_terms(shape, n))
             shape_vol.append((s.sq_volume(), s.volume()))
-        known = Simplex.trusted
-        stored = tuple([known(tuple(map(point, cell)), *shape_vol[si])
-                        for cell, si in zip(self._cells[k], self._shape_of[k])])
+        cells = self._cells[k]
+        if k == 0:
+            stored = tuple([known(*lowest_terms(cell, n), *shape_vol[0]) for cell in cells])
+        else:
+            stored = tuple([known(cell, n, *shape_vol[si])
+                            for cell, si in zip(cells, self._shape_of[k])])
         self._simplices[k] = stored
         self._index[k] = dict(zip(stored, range(len(stored))))
 
@@ -282,15 +288,7 @@ class GridComplex:
         Repeated ids add up through the group and zeros are dropped, in the
         order `PolyChain.build` would give on the same cells; the terms are
         the stored simplices, so no vertex tuple is sorted or hashed."""
-        by_id: dict[int, Fraction] = {}
-        for i, coeff in pairs:
-            g = group.normalize(coeff)
-            if i in by_id:
-                g = group.add(by_id[i], g)
-            if g:
-                by_id[i] = g
-            else:
-                by_id.pop(i, None)
+        by_id = _chains.summed(group, ((i, group.normalize(c)) for i, c in pairs))
         stored = self.simplices(k)
         return _chains.PolyChain(group, self.ambient_dim, k,
                                  {stored[i]: g for i, g in by_id.items()}, self)
@@ -352,42 +350,52 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
     verified by an exact volume identity per term.  Fails loudly otherwise.
     A tile's first vertex lies in the term's bounding box, so the candidate
     tiles are the target cells of the cubes that box's lattice points clip
-    to, visited in ascending id.
+    to, visited in ascending id.  A tile is kept when all its lattice
+    points lie in the term; each point is tested once per term, against
+    the box in integers and then exactly against the term's hull, and the
+    answer is reused by every candidate tile that shares it.
     """
     if chain.ambient_dim != target.ambient_dim:
         raise GridError("ambient dimension mismatch")
     k = chain.dim
     group = chain.group
     fine = target.simplices(k)
+    cells = target._cells[k]
     by_cube = target.cells_of_cube(k)
     n = target.resolution
     pairs = []
     for sigma, coeff in chain.terms.items():
         if sigma.is_degenerate():
             raise GridError("cannot re-express a zero-volume term")
-        lo, hi = sigma.bbox()
-        spans = []
-        for a, b in zip(lo, hi):
-            first, last = max(ceil(a * n), 0), min(floor(b * n), n)
-            spans.append(range(min(first, n - 1), min(last, n - 1) + 1) if first <= last else ())
+        # the lattice coordinates in sigma's bounding box, per axis
+        bounds = [(max(ceil(a * n), 0), min(floor(b * n), n)) for a, b in zip(*sigma.bbox())]
+        spans = [range(min(first, n - 1), min(last, n - 1) + 1) if first <= last else ()
+                 for first, last in bounds]
         candidates = sorted(i for cube in product(*spans) for i in by_cube[cube])
-        base = sigma.edges()
+        base = sigma.lattice_edges()
+        inside = {}  # lattice point -> whether it lies in sigma
         covered = RadicalSum()
         for i in candidates:
-            t = fine[i]
-            tlo, thi = t.bbox()
-            if any(a < b for a, b in zip(tlo, lo)) or any(a > b for a, b in zip(thi, hi)):
-                continue
-            if not simplex_in_simplex(t, sigma):
-                continue
-            # t lies in sigma's affine hull, so its edges are E_t = C E_sigma
-            # and det(E_t E_sigma^T) = det(C) det(Gram(sigma)) has det(C)'s sign
-            rel = det([[sum(a * b for a, b in zip(e, f)) for f in base] for e in t.edges()])
-            if rel == 0:
-                raise GridError("degenerate tile")
-            c = coeff if rel > 0 else group.neg(coeff)
-            pairs.append((i, c))
-            covered = covered + t.volume()
+            for p in cells[i]:
+                hit = inside.get(p)
+                if hit is None:
+                    hit = inside[p] = (
+                        all([a <= c <= b for c, (a, b) in zip(p, bounds)])
+                        and point_in_simplex(tuple([Fraction(c, n) for c in p]), sigma))
+                if not hit:
+                    break
+            else:
+                t = fine[i]
+                # t lies in sigma's affine hull, so its edges are E_t = C E_sigma
+                # and det(E_t E_sigma^T) = det(C) det(Gram(sigma)) has det(C)'s
+                # sign, which positive multiples of the edges keep
+                rel = det([[sum([a * b for a, b in zip(e, f)]) for f in base]
+                           for e in t.lattice_edges()])
+                if rel == 0:
+                    raise GridError("degenerate tile")
+                c = coeff if rel > 0 else group.neg(coeff)
+                pairs.append((i, c))
+                covered = covered + t.volume()
         if not (covered - sigma.volume()).is_zero():
             raise GridError("term is not exactly tiled by the target grid")
     return target.chain_from_ids(group, k, pairs)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .approx import disjoint_representative
 from .chains import PolyChain, mass_from_totals
@@ -191,10 +192,14 @@ def _find_cycle(frac_terms):
     Every vertex of this graph has degree >= 2 (a degree-1 vertex would
     leave a fractional boundary multiplicity), so a walk from the least
     vertex, always to the least neighbour but the one it came from, closes
-    a loop: [(v, None), (vertex, edge into it), ..., (v, closing edge)]."""
+    a loop: [(v, None), (vertex, edge into it), ..., (v, closing edge)].
+    The walk keys vertices by the edges' integer points over their common
+    denominator, which compare as the Fraction points do."""
+    den = lcm(*[s.den for s in frac_terms])
     adj: dict = {}
     for s in frac_terms:
-        a, b = s.vertices
+        m = den // s.den
+        a, b = [tuple([m * c for c in p]) for p in s.num]
         adj.setdefault(a, []).append((b, s))
         adj.setdefault(b, []).append((a, s))
     u, came_from = min(adj), None
@@ -206,7 +211,8 @@ def _find_cycle(frac_terms):
         if s is None:
             raise LiftError("fractional subgraph unexpectedly acyclic")
         if w in at:
-            return [(w, None)] + path[at[w] + 1:] + [(w, s)]
+            cycle = [(w, None)] + path[at[w] + 1:] + [(w, s)]
+            return [(tuple([Fraction(c, den) for c in v]), e) for v, e in cycle]
         at[w] = len(path)
         path.append((w, s))
         u, came_from = w, u

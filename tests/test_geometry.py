@@ -1,15 +1,19 @@
 """Exact simplex geometry: volumes, orientation, hull intersections."""
 
 from fractions import Fraction
+from math import factorial, gcd
 from random import Random
 
 import pytest
 import sympy
 
+from polychain.chains import PolyChain, prism, pushforward
 from polychain.geometry import (AffineMap, GeometryError, Simplex, _equalities_rank,
                                 canonical, det, gauss_jordan, is_tangent, mat_rank,
                                 overlap_dim, overlap_dim_at_least, point_in_simplex,
                                 simplex_in_simplex, solve_linear)
+from polychain.grid import grid_complex
+from polychain.groups import REAL
 from polychain.radicals import RadicalSum
 from polychain.simplex_lp import check_certificate
 
@@ -350,3 +354,116 @@ def test_overlap_dim_at_least_agrees_with_overlap_dim():
             expected = None if solve_linear(rows, rhs) is None else mat_rank(rows)
             assert _equalities_rank(eqs, a.ambient_dim) == expected
     assert seen == {-1, 0, 1, 2, 3}
+
+
+# -- integer-lattice representation ----------------------------------------
+
+
+def test_equal_simplices_hash_and_compare_equal_however_their_vertices_are_written():
+    equal = [
+        (Simplex(((F(2, 4), F(0)), (F(1), F(6, 8)))), Simplex(((F(1, 2), 0), (1, F(3, 4))))),
+        (Simplex(((0, 0), (1, 0))), Simplex(((F(0), F(0)), (F(1), F(0))))),
+        (Simplex(((F(3, 6),),)), Simplex(((F(1, 2),),))),
+    ]
+    # the n = 2 corners: lattice entries 0 and 2 share the factor 2 with n
+    cx = grid_complex(2, 2)
+    corners = [s for s in cx.simplices(0) if all(c.denominator == 1 for c in s.vertices[0])]
+    assert len(corners) == 4 and all(s.den == 1 for s in corners)
+    equal += [(s, Simplex([[int(c) for c in s.vertices[0]]])) for s in corners]
+    equal += [(s, Simplex(s.vertices)) for k in (1, 2) for s in cx.simplices(k)]
+    for a, b in equal:
+        assert a == b and hash(a) == hash(b)
+        assert (a.num, a.den) == (b.num, b.den)
+        assert all(gcd(s.den, *[c for p in s.num for c in p]) == 1 for s in (a, b))
+    distinct = [
+        (Simplex(((F(1, 2), 0),)), Simplex(((F(1, 4), 0),))),      # same numerators
+        (Simplex(((F(1, 2), 0),)), Simplex(((1, 0),))),
+        (Simplex(((0, 0), (1, 0))), Simplex(((1, 0), (0, 0)))),    # orientation
+        (Simplex(((0, 0), (F(1, 3), 0))), Simplex(((0, 0), (F(1, 3), 0), (0, 1)))),
+    ]
+    for a, b in distinct:
+        assert a != b
+    assert len({a for pair in distinct for a in pair}) == 7
+
+
+BIG_DENOMINATORS = (10 ** 6 + 3, 10 ** 6 + 33, 2 ** 21, 1, 6)
+
+
+def big_point(rng, d):
+    return tuple(F(rng.randint(-10 ** 7, 10 ** 7), rng.choice(BIG_DENOMINATORS))
+                 for _ in range(d))
+
+
+def big_free_chain(rng, d, k, terms=4):
+    """A free k-chain whose vertices have denominators past 10^6; one term
+    has a single vertex over 10^6 + 3 and the rest integral, so dropping
+    that vertex shrinks the denominator of the face."""
+    items = []
+    while len(items) < terms:
+        verts = [big_point(rng, d) for _ in range(k + 1)]
+        if len(set(verts)) == k + 1:
+            items.append((tuple(verts), F(rng.randint(1, 9), rng.randint(1, 9))))
+    lone = tuple(tuple(F(rng.randint(-9, 9)) for _ in range(d)) for _ in range(k))
+    items.append((lone + (tuple(F(rng.randint(1, 9), 10 ** 6 + 3) for _ in range(d)),), F(1)))
+    return PolyChain.build(REAL, d, k, items)
+
+
+def test_moved_faces_and_prism_match_simplices_rebuilt_from_fraction_vertices():
+    rng = Random(2024)
+    shrunk = 0
+    for d in (1, 2, 3):
+        for k in range(d + 1):
+            chain = big_free_chain(rng, d, k)
+            maps = [AffineMap(F(rng.randint(1, 10 ** 7), 10 ** 6 + 3), big_point(rng, d)),
+                    AffineMap.translation(big_point(rng, d)), AffineMap.identity(d),
+                    AffineMap.homothety(big_point(rng, d), F(127, 128))]
+            for f in maps:
+                assert list(pushforward(chain, f).terms) == [s.moved(f) for s in chain.terms]
+                for s in chain.terms:
+                    image = s.moved(f)
+                    ref = Simplex(canonical(tuple(map(f, s.vertices)))[0])
+                    assert image == ref and hash(image) == hash(ref)
+                    assert image.vertices == ref.vertices
+            if k:
+                expected = {}
+                for s, c in chain.terms.items():
+                    for i in range(k + 1):
+                        face = Simplex(s.vertices[:i] + s.vertices[i + 1:])
+                        expected[face] = expected.get(face, 0) + (c if i % 2 == 0 else -c)
+                        shrunk += face.den < s.den
+                got = chain.boundary().terms
+                assert got == {s: c for s, c in expected.items() if c}
+            if k < d:
+                f0, f1 = maps[0], maps[3]
+                items = []
+                for s, c in chain.terms.items():
+                    lower, upper = [f0(v) for v in s.vertices], [f1(v) for v in s.vertices]
+                    items += [(tuple(lower[:i + 1]) + tuple(upper[i:]), c if i % 2 == 0 else -c)
+                              for i in range(k + 1)]
+                got = prism(chain, f0, f1)
+                # the terms, in order, of the vertex-tuple constructor
+                ref = PolyChain.build(REAL, d, k + 1, items)
+                assert list(got.terms.items()) == list(ref.terms.items())
+                # and each one sorted as Fractions and rebuilt from them
+                expected = {}
+                for verts, c in items:
+                    verts, sign = canonical(verts)
+                    if sign:
+                        key = Simplex(verts)
+                        expected[key] = expected.get(key, 0) + sign * c
+                assert got.terms == {s: c for s, c in expected.items() if c}
+    assert shrunk > 0
+
+
+def test_sq_volume_equals_the_fraction_gram_determinant():
+    rng = Random(31)
+    cases = 0
+    while cases < 200:
+        d = rng.randint(1, 3)
+        k = rng.randint(0, d)
+        s = random_simplex(rng, d, k, denominator=rng.choice((9, 10 ** 6 + 3)))
+        edges = s.edges()
+        gram = [[sum((a * b for a, b in zip(e1, e2)), F(0)) for e2 in edges] for e1 in edges]
+        expected = gauss_jordan(gram)[2] / factorial(k) ** 2 if k else F(1)
+        assert Simplex(s.vertices).sq_volume() == expected
+        cases += 1
