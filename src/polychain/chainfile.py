@@ -20,7 +20,13 @@ Both JSON layouts are rendered directly by string joins (`emit_chain`,
 `emit_slices`), reproducing `json.dumps(doc, indent=2, sort_keys=True)`
 plus a final newline byte for byte; tests pin this against that call on
 `chain_to_document`, which stays the schema's reference.  Reading a chain
-parses each distinct coordinate or coefficient string once.
+parses each distinct coordinate or coefficient string once.  A chain with
+a `complex` block maps each distinct coordinate string to its lattice
+integer q*n, sorts each term's integer points (`geometry.canonical`),
+looks the cell up by its lattice tuple (`GridComplex.cell_ids`) and builds
+the chain from cell ids (`GridComplex.chain_from_ids`), with no `Simplex`
+made per term; a term off the lattice or off the complex is handed to
+`PolyChain.build`, so its error names the simplex as `build` names it.
 
 Grid-function files are plain text: a header line "d n" followed by n^d
 rationals in row-major order (the function is zero outside the unit box).
@@ -41,6 +47,7 @@ from fractions import Fraction
 
 from .chains import PolyChain
 from .coarea import GridFunction
+from .geometry import canonical
 # the grid limit and its error live in grid; both stay importable from here
 from .grid import MAX_GRID_SIMPLICES, InputLimitError, check_grid, grid_complex
 from .groups import GroupError
@@ -182,6 +189,22 @@ def document_to_chain(doc) -> PolyChain:
                 known[x] = q
         return q
 
+    # A chain on a complex reads each coordinate string as its lattice
+    # integer q*n once (None when q*n is not an integer), so its terms are
+    # looked up by integer cells with no Simplex or Fraction vertex made; a
+    # free chain reads it as its Fraction.
+    grid = complex is not None and 0 <= dim <= ambient
+    n = complex.resolution if grid else 0
+    coords: dict = {}  # coordinate string -> its lattice integer or Fraction
+
+    def coordinate(x, where, j):
+        q = rational(x, "%s vertex %d", where, j)
+        if grid:
+            q = q.numerator * (n // q.denominator) if n % q.denominator == 0 else None
+        if type(x) is str:
+            coords[x] = q
+        return q
+
     items = []
     for i, entry in enumerate(raw):
         where = "simplices[%d]" % i
@@ -196,10 +219,34 @@ def document_to_chain(doc) -> PolyChain:
             if not isinstance(v, list) or len(v) != ambient:
                 raise ChainFileError("%s: vertex %d must list %d coordinates"
                                      % (where, j, ambient))
-            vertices.append(tuple(rational(x, "%s vertex %d", where, j) for x in v))
+            try:
+                vertices.append(tuple([coords[x] for x in v]))
+            except (KeyError, TypeError):  # a string not seen yet, or no string
+                vertices.append(tuple([coordinate(x, where, j) for x in v]))
         coeff = rational(_require(entry, "coeff", (int, str), where), "%s coeff", where)
         items.append((tuple(vertices), coeff))
-    return PolyChain.build(group, ambient, dim, items, complex=complex)
+    if not grid:
+        return PolyChain.build(group, ambient, dim, items, complex=complex)
+
+    cells = complex.cell_ids(dim)
+    pairs = []
+    for i, (points, coeff) in enumerate(items):
+        if not any(None in p for p in points):
+            cell, sign = canonical(points)
+            if sign == 0:
+                continue
+            g = group.normalize(coeff)
+            cell_id = cells.get(cell)
+            if cell_id is not None:
+                pairs.append((cell_id, g if sign > 0 else -g))
+                continue
+        # a term off the lattice or off the complex: `PolyChain.build` raises
+        # the error naming its simplex (or drops a degenerate term)
+        vertices = tuple(tuple(rational(x, "simplices[%d] vertex %d", i, j) for x in v)
+                         for j, v in enumerate(raw[i]["vertices"]))
+        term = PolyChain.build(group, ambient, dim, [(vertices, coeff)], complex=complex)
+        pairs += [(complex.index_of(dim, s), c) for s, c in term.terms.items()]
+    return complex.chain_from_ids(group, dim, pairs)
 
 
 def _chain_text(chain: PolyChain, pad: str, blocks=None) -> str:

@@ -29,6 +29,19 @@ over; and a prism maps each term's integer points by both maps over one
 common denominator, sorts each prism simplex's points as integers
 (`geometry.canonical`) and reduces them once.  `PolyChain.build` sorts a
 vertex tuple by the integer points of its `Simplex`.
+
+Coefficients are summed as integers.  `build`, the boundary, the prism and
+`GridComplex.chain_from_ids` scale their coefficients once to numerators
+over one common denominator D (`numerators`), and `summed`, the one
+summation kernel, adds each key's numerators as ints and wraps the total
+to the group's canonical numerator (`Group.wrap`).  Its order rule is the
+one a term-by-term Fraction sum gives: keys in first-seen order, and a key
+whose total wraps to zero is dropped and appended again by a later pair.
+The order is part of the result, since `RadicalSum`s made from the terms
+(the mass) sum their radicands in it.  One Fraction(m, D) is made per
+distinct output total.  The mass sums the norms' numerators
+(`Group.norm_num`) per shared volume object and makes one Fraction per
+volume and radicand (`mass_from_totals`).
 """
 
 from __future__ import annotations
@@ -46,38 +59,71 @@ class ChainError(ValueError):
     pass
 
 
-def _rational_sum(values) -> Fraction:
-    """Exact sum of Fractions, added as integers over their common
-    denominator rather than pairwise."""
-    den = lcm(*{q.denominator for q in values})
-    return Fraction(sum(q.numerator * (den // q.denominator) for q in values), den)
+def numerators(values) -> tuple[list, int]:
+    """Rationals (Fractions or ints) as integer numerators over their least
+    common denominator: ([numerator per value], den)."""
+    ratios = [q.as_integer_ratio() for q in values]
+    den = lcm(*{d for _, d in ratios})
+    return [n * (den // d) for n, d in ratios], den
 
 
-def mass_from_totals(totals) -> RadicalSum:
-    """sum total * volume over (volume, rational total) pairs: the weights
-    are summed per radicand in first-seen order and each radicand is folded
-    in once, so str() and float() are those of a term-by-term sum."""
-    weights = {}
+def mass_from_totals(totals, den: int) -> RadicalSum:
+    """sum (total / den) * volume over (volume, integer total) pairs: the
+    weights are summed per radicand in first-seen order, as integers over
+    the least common multiple of the volumes' coefficient denominators, and
+    each radicand is folded in once as one Fraction, so str() and float()
+    are those of a term-by-term sum."""
+    weights: dict = {}  # radicand -> [numerator, denominator] of its weight times den
     for vol, total in totals:
         for rad, c in vol.terms.items():
-            weights[rad] = weights.get(rad, 0) + c * total
-    return RadicalSum.from_weights(weights)
+            p, q = c.numerator * total, c.denominator
+            w = weights.get(rad)
+            if w is None:
+                weights[rad] = [p, q]
+            elif w[1] == q:
+                w[0] += p
+            else:
+                m = lcm(w[1], q)
+                w[0], w[1] = w[0] * (m // w[1]) + p * (m // q), m
+    return RadicalSum.from_weights({rad: Fraction(p, q * den) for rad, (p, q) in weights.items()})
 
 
-def summed(group: Group, pairs) -> dict:
-    """A chain's terms from (key, coeff) pairs, keyed by simplex or by id,
-    in first-seen order: repeated keys add up through the group, and a
-    total that reaches zero drops its key, which a later pair appends
-    again."""
-    terms: dict = {}
-    for s, c in pairs:
-        if s in terms:
-            c = group.add(terms[s], c)
-        if c:
-            terms[s] = c
-        else:
-            terms.pop(s, None)
+def summed(group: Group, pairs, den: int) -> dict:
+    """A chain's terms from (key, numerator) pairs over one common
+    denominator den, keyed by simplex or by id: the integer summation
+    kernel every chain constructor shares.
+
+    Each key's numerators add up as integers and the total is wrapped to
+    the group's canonical numerator (`Group.wrap`) at every step.  Keys
+    keep their first-seen order, and a total that wraps to zero drops its
+    key, which a later pair appends again (`RadicalSum`s built from these
+    terms sum their radicands in this order).  Each surviving total becomes
+    one Fraction over den, shared by the keys with the same total."""
+    wrap = group.wrap
+    totals: dict = {}
+    for key, m in pairs:
+        t = totals.get(key)
+        m = wrap(m if t is None else t + m, den)
+        if m:
+            totals[key] = m
+        elif t is not None:
+            del totals[key]
+    made: dict = {}
+    terms = {}
+    for key, m in totals.items():
+        q = made.get(m)
+        if q is None:
+            q = made[m] = Fraction(m, den)
+        terms[key] = q
     return terms
+
+
+def summed_values(group: Group, pairs) -> dict:
+    """`summed` over (key, rational coefficient) pairs, scaled once to
+    numerators over their least common denominator."""
+    pairs = list(pairs)
+    nums, den = numerators([c for _, c in pairs])
+    return summed(group, zip([key for key, _ in pairs], nums), den)
 
 
 class PolyChain:
@@ -116,15 +162,13 @@ class PolyChain:
                     raise ChainError("vertex dimension %d != ambient %d"
                                      % (len(num[0]), ambient_dim))
                 g = group.normalize(coeff)
-                if sign < 0:
-                    g = group.neg(g)
                 if num != s.num:
                     s = Simplex.trusted(num, s.den)
                 if complex is not None:
                     s = stored[complex.index_of(dim, s)]
-                yield s, g
+                yield s, g if sign > 0 else -g
 
-        return cls(group, ambient_dim, dim, summed(group, signed()), complex)
+        return cls(group, ambient_dim, dim, summed_values(group, signed()), complex)
 
     @classmethod
     def zero(cls, group: Group, ambient_dim: int, dim: int, complex=None) -> "PolyChain":
@@ -239,20 +283,18 @@ class PolyChain:
 
     def _build_boundary(self) -> "PolyChain":
         k, g, cx = self.dim, self.group, self.complex
+        nums, den = numerators(self.terms.values())
         if cx is None:
             face = Simplex.trusted  # faces of sorted tuples stay sorted
-
-            def signed_faces(simplex):
-                den = simplex.den
-                return [(face(*lowest_terms(fv, den)), sign) for fv, sign in faces(simplex.num)]
+            terms = summed(g, ((face(*lowest_terms(fv, simplex.den)), m if sign > 0 else -m)
+                               for simplex, m in zip(self.terms, nums)
+                               for fv, sign in faces(simplex.num)), den)
         else:
-            incidence, lower = cx.incidence(k), cx.simplices(k - 1)
-
-            def signed_faces(simplex):
-                return [(lower[f], sign) for f, sign in incidence[cx.index_of(k, simplex)]]
-        terms = summed(g, ((s, coeff if sign > 0 else g.neg(coeff))
-                            for simplex, coeff in self.terms.items()
-                            for s, sign in signed_faces(simplex)))
+            incidence, index_of, lower = cx.incidence(k), cx.index_of, cx.simplices(k - 1)
+            by_id = summed(g, ((f, m if sign > 0 else -m)
+                               for simplex, m in zip(self.terms, nums)
+                               for f, sign in incidence[index_of(k, simplex)]), den)
+            terms = {lower[f]: c for f, c in by_id.items()}
         return PolyChain(self.group, self.ambient_dim, self.dim - 1, terms, self.complex)
 
     def mass_exact(self) -> RadicalSum:
@@ -262,23 +304,22 @@ class PolyChain:
         return self._mass
 
     def _measure(self) -> RadicalSum:
-        # Sum the norms per volume object first: the cells of one grid shape
-        # share one RadicalSum (Simplex.trusted), so a grid chain pays one
-        # multiply per shape, not per term, in `mass_from_totals`.
-        norm = self.group.norm
-        groups: dict = {}  # id of a volume -> [the volume, its terms' norms...]
-        for simplex, coeff in self.terms.items():
-            n = norm(coeff)
+        # Sum the norms' numerators per volume object first: the cells of
+        # one grid shape share one RadicalSum (Simplex.trusted), so a grid
+        # chain makes one Fraction per shape and radicand, not per term.
+        norm_num = self.group.norm_num
+        nums, den = numerators(self.terms.values())
+        totals: dict = {}  # id of a volume -> [the volume, its terms' norm numerators]
+        for simplex, m in zip(self.terms, nums):
+            n = norm_num(m, den)
             if n:
                 vol = simplex.volume()
-                group = groups.get(id(vol))
-                if group is None:
-                    groups[id(vol)] = [vol, n]
+                entry = totals.get(id(vol))
+                if entry is None:
+                    totals[id(vol)] = [vol, n]
                 else:
-                    group.append(n)
-        return mass_from_totals((group[0], group[1] if len(group) == 2
-                                 else _rational_sum(group[1:]))
-                                for group in groups.values())
+                    entry[1] += n
+        return mass_from_totals(totals.values(), den)
 
     def mass(self) -> float:
         return float(self.mass_exact())
@@ -321,9 +362,10 @@ def prism(chain: PolyChain, from_map: AffineMap, to_map: AffineMap) -> PolyChain
     a1, s1, q1 = to_map.lattice
     q = lcm(q0, q1)
     m0, m1 = q // q0, q // q1
+    nums, cden = numerators(chain.terms.values())
 
     def pieces():
-        for s, coeff in chain.terms.items():
+        for s, m in zip(chain.terms, nums):
             # p/den goes to (a*p + den*s) / (q_map*den), both maps over q*den
             den = s.den
             b0 = [m0 * den * t for t in s0]
@@ -334,9 +376,9 @@ def prism(chain: PolyChain, from_map: AffineMap, to_map: AffineMap) -> PolyChain
                 num, sign = canonical(lower[: i + 1] + upper[i:])
                 if sign:
                     yield (Simplex.trusted(*lowest_terms(num, q * den)),
-                           coeff if (i % 2 == 0) == (sign > 0) else g.neg(coeff))
+                           m if (i % 2 == 0) == (sign > 0) else -m)
 
-    return PolyChain(g, chain.ambient_dim, chain.dim + 1, summed(g, pieces()))
+    return PolyChain(g, chain.ambient_dim, chain.dim + 1, summed(g, pieces(), cden))
 
 
 # ---------------------------------------------------------------------------

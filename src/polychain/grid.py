@@ -20,8 +20,8 @@ vertices (the points divided by n) do, so ids are the positions in the
 vertex-sorted simplex lists, two complexes with equal parameters enumerate
 identically, and sorting a complex's simplices by id orders them as their
 vertex tuples do (`id_key`; complex-backed chains sort their terms this
-way).  Incidence rows look each face up in a dict keyed by the integer
-cells.
+way).  Incidence rows and the grid chain-file reader look cells up in a
+dict keyed by the integer cells (`cell_ids`).
 
 A dimension's `Simplex` objects and its Simplex -> id index are made the
 first time something asks for them (`simplices`, `index_of`, `id_key`,
@@ -37,7 +37,8 @@ its hash and volume are computed once however many chains use it.  Chains
 made here are built from cell ids (`chain_from_ids`): (id, coeff) pairs
 become terms keyed by the stored simplices, with no vertex tuple sorted and
 no new Simplex; `PolyChain.build` stays the constructor for chains given
-by vertex tuples (files, free chains).
+by vertex tuples (free chains, and the terms of a grid chain file that lie
+off the grid, for its error).
 
 `check_grid` is the one grid check: it refuses a dimension or resolution
 no complex here is built for, and a grid past MAX_GRID_SIMPLICES top
@@ -208,6 +209,15 @@ class GridComplex:
                 return table[s]
             raise GridError("simplex not on this complex: %r" % (s,)) from None
 
+    def cell_ids(self, k: int) -> dict:
+        """Dimension k's lattice cell -> id index: the key is the tuple of
+        the cell's integer points (vertices times n), sorted."""
+        ids = self._ids.get(k)
+        if ids is None:
+            cells = self._cells[k]
+            ids = self._ids[k] = dict(zip(cells, range(len(cells))))
+        return ids
+
     def id_key(self, k: int):
         """Sort key giving a stored k-simplex its id, which orders simplices
         as their sorted vertex tuples do without comparing Fractions."""
@@ -236,10 +246,7 @@ class GridComplex:
         if k not in self._incidence:
             if not 1 <= k <= self.ambient_dim:
                 raise GridError("incidence defined for 1 <= k <= d")
-            if k - 1 not in self._ids:
-                lower = self._cells[k - 1]
-                self._ids[k - 1] = dict(zip(lower, range(len(lower))))
-            ids = self._ids[k - 1]
+            ids = self.cell_ids(k - 1)
             self._incidence[k] = tuple([tuple([(ids[fv], sign) for fv, sign in faces(cell)])
                                         for cell in self._cells[k]])
         return self._incidence[k]
@@ -285,10 +292,12 @@ class GridComplex:
         """The k-chain sum of coeff * (stored k-simplex id) over (id, coeff)
         pairs, each coeff relative to the stored orientation.
 
-        Repeated ids add up through the group and zeros are dropped, in the
-        order `PolyChain.build` would give on the same cells; the terms are
-        the stored simplices, so no vertex tuple is sorted or hashed."""
-        by_id = _chains.summed(group, ((i, group.normalize(c)) for i, c in pairs))
+        Repeated ids add up as integer numerators over the coefficients'
+        common denominator (`chains.summed_values`) and zeros are dropped,
+        in the order `PolyChain.build` would give on the same cells; the
+        terms are the stored simplices, so no vertex tuple is sorted or
+        hashed."""
+        by_id = _chains.summed_values(group, ((i, group.normalize(c)) for i, c in pairs))
         stored = self.simplices(k)
         return _chains.PolyChain(group, self.ambient_dim, k,
                                  {stored[i]: g for i, g in by_id.items()}, self)

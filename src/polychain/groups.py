@@ -5,6 +5,14 @@ and the circle R/Z.  Elements are always exact rationals (`Fraction`); the
 circle and mod-p groups store the canonical representative ([0,1) resp.
 {0,...,p-1}) and use the quotient norm min(v, 1-v) resp. min(v, p-v).
 
+Each group defines its reduction and its norm once, on integers: for an
+element num/den, `wrap(num, den)` is the canonical element's numerator over
+the same den (num for the reals and the integers, num mod den for the
+circle, num mod p*den for mod p), and `norm_num(num, den)` is its norm's
+numerator over den.  Chains sum their coefficients as numerators over one
+common denominator with these two (`chains.summed`, `PolyChain.mass_exact`);
+`normalize` and `norm` are the same two read on one `Fraction`.
+
 The projection R -> R/Z and its minimal-norm section are the concrete
 homomorphism pair used by the lifting machinery; their norm constants are
 exactly 1 in both directions (see `project` / `section`).
@@ -25,15 +33,30 @@ def _fraction(value) -> Fraction:
 
 
 class Group:
-    """Base class; concrete groups are stateless singletons (except ModP)."""
+    """Base class; concrete groups are stateless singletons (except ModP).
+
+    The base `wrap` and `norm_num` are those of the reals and the integers,
+    where every element is its own canonical representative."""
 
     tag = "abstract"
 
+    def wrap(self, num: int, den: int) -> int:
+        """The numerator over den of the canonical element num/den."""
+        return num
+
+    def norm_num(self, num: int, den: int) -> int:
+        """The numerator over den of the norm of num/den."""
+        return abs(num)
+
     def normalize(self, value) -> Fraction:
-        raise NotImplementedError
+        v = _fraction(value)
+        num = self.wrap(v.numerator, v.denominator)
+        return v if num == v.numerator else Fraction(num, v.denominator)
 
     def norm(self, value) -> Fraction:
-        raise NotImplementedError
+        v = self.normalize(value)
+        num = self.norm_num(v.numerator, v.denominator)
+        return v if num == v.numerator else Fraction(num, v.denominator)
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return self.normalize(a + b)
@@ -60,12 +83,6 @@ class Group:
 class RealGroup(Group):
     tag = "real"
 
-    def normalize(self, value) -> Fraction:
-        return _fraction(value)
-
-    def norm(self, value) -> Fraction:
-        return abs(_fraction(value))
-
     def scale(self, a, s) -> Fraction:
         return _fraction(a) * _fraction(s)
 
@@ -79,9 +96,6 @@ class IntegerGroup(Group):
             raise GroupError("integer coefficient expected, got %s" % v)
         return v
 
-    def norm(self, value) -> Fraction:
-        return abs(self.normalize(value))
-
 
 class ModPGroup(Group):
     def __init__(self, p: int):
@@ -90,33 +104,31 @@ class ModPGroup(Group):
         self.p = p
         self.tag = "mod:%d" % p
 
+    def wrap(self, num: int, den: int) -> int:
+        return num % (self.p * den)
+
+    def norm_num(self, num: int, den: int) -> int:
+        v = num % (self.p * den)
+        return min(v, self.p * den - v)
+
     def normalize(self, value) -> Fraction:
         v = _fraction(value)
         if v.denominator != 1:
             raise GroupError("mod-%d coefficient expected integral, got %s" % (self.p, v))
-        if 0 <= v.numerator < self.p:
-            return v
-        return Fraction(v.numerator % self.p)
-
-    def norm(self, value) -> Fraction:
-        v = self.normalize(value)
-        return min(v, self.p - v)
+        return super().normalize(v)
 
 
 class CircleGroup(Group):
     tag = "circle"
 
-    def normalize(self, value) -> Fraction:
-        v = _fraction(value)
-        if 0 <= v.numerator < v.denominator:
-            return v
-        return v - (v.numerator // v.denominator)  # v mod 1, in [0,1)
+    def wrap(self, num: int, den: int) -> int:
+        return num % den  # num/den mod 1, in [0, 1)
 
-    def norm(self, value) -> Fraction:
-        """Distance to the nearest integer, min(v, 1 - v) for v in [0, 1),
-        decided on v's numerator and denominator; v itself on a tie."""
-        v = self.normalize(value)
-        return 1 - v if 2 * v.numerator > v.denominator else v
+    def norm_num(self, num: int, den: int) -> int:
+        """Distance to the nearest integer, min(v, 1 - v) for v = num/den
+        mod 1, read on the numerators; v itself on a tie."""
+        v = num % den
+        return den - v if 2 * v > den else v
 
 
 REAL = RealGroup()

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 
 from .approx import disjoint_representative
-from .chains import PolyChain, mass_from_totals
+from .chains import PolyChain, mass_from_totals, numerators
 from .groups import CIRCLE, REAL, section
 from .radicals import RadicalSum
 
@@ -64,7 +64,7 @@ def project_chain(chain: PolyChain) -> PolyChain:
         raise LiftError("projection expects real or integer coefficients")
     terms = {}
     for s, c in chain.terms.items():
-        v = CIRCLE.normalize(Fraction(c))
+        v = CIRCLE.normalize(c)
         if v:
             terms[s] = v
     return PolyChain(CIRCLE, chain.ambient_dim, chain.dim, terms, chain.complex)
@@ -116,19 +116,27 @@ def threshold_profile(chain: PolyChain) -> ThresholdProfile:
     the profile is constant between the distinct coefficients lying in
     (1/4, 3/4); each interval is labelled by its midpoint.
 
-    One sweep computes it.  Just above 1/4 a cell with c <= 1/4 keeps c
-    and every other cell takes c - 1.  `GridComplex.face_sums` gives that
-    lift's boundary coefficients and, per break b, the integer step they
-    take as the cells with c == b step up by 1.  The mass is one running
-    total of |coef_f| per shared face volume, folded per interval by
-    `chains.mass_from_totals` as `PolyChain.mass_exact` folds it.
+    One sweep computes it, in integers: every coefficient c is read as
+    its numerator over D = lcm(4, the coefficients' denominators), so the
+    window is (D/4, 3D/4).  Just above 1/4 a cell with c <= 1/4 keeps c and
+    every other cell takes c - 1.  `GridComplex.face_sums` gives that
+    lift's boundary numerators and, per break b, the step of D they take
+    as the cells with c == b step up by 1.  The mass is one running integer
+    total of |coef_f| per shared face volume; Fractions are made only for
+    the reported breakpoints, midpoints and widths, and for each interval's
+    totals, folded by `chains.mass_from_totals` as `PolyChain.mass_exact`
+    folds them.
     """
     _require_top(chain)
-    lo, hi = Fraction(1, 4), Fraction(3, 4)
     cx, d = chain.complex, chain.dim
-    cells = [(cx.index_of(d, s), c) for s, c in chain.terms.items()]
-    coef = cx.face_sums((lo, i, c if c <= lo else c - 1) for i, c in cells).get(lo, {})
-    rising = cx.face_sums((c, i, 1) for i, c in cells if lo < c < hi)
+    nums, coeff_den = numerators(chain.terms.values())
+    den = lcm(4, coeff_den)
+    scale = den // coeff_den
+    lo, hi = den // 4, 3 * den // 4
+    index_of = cx.index_of
+    cells = [(index_of(d, s), m * scale) for s, m in zip(chain.terms, nums)]
+    coef = cx.face_sums((0, i, c if c <= lo else c - den) for i, c in cells).get(0, {})
+    rising = cx.face_sums((c, i, den) for i, c in cells if lo < c < hi)
     lower = cx.simplices(d - 1)
     totals: dict = {}  # id of a face volume -> [the volume, sum of |coef_f|]
     total_of = {}  # face id -> its volume's totals entry
@@ -150,14 +158,14 @@ def threshold_profile(chain: PolyChain) -> ThresholdProfile:
             old = coef[f]
             coef[f] = new = old + step
             total_of[f][1] += abs(new) - abs(old)
-        mid = (a + b) / 2
-        mass = mass_from_totals(totals.values())
-        intervals.append((a, b, mid, mass))
-        integral = integral + mass * (b - a)
+        mid = Fraction(a + b, 2 * den)
+        mass = mass_from_totals(totals.values(), den)
+        intervals.append((Fraction(a, den), Fraction(b, den), mid, mass))
+        integral = integral + mass * Fraction(b - a, den)
         if best is None or (mass - best[1]).sign() < 0:
             best = (mid, mass)
-    return ThresholdProfile(breakpoints=tuple(breaks), intervals=tuple(intervals),
-                            integral=integral, minimum=best)
+    return ThresholdProfile(breakpoints=tuple([Fraction(b, den) for b in breaks]),
+                            intervals=tuple(intervals), integral=integral, minimum=best)
 
 
 def lift_top_optimal(chain: PolyChain):
@@ -274,8 +282,9 @@ def fill_boundary(cycle: PolyChain) -> PolyChain:
     codimension-one cycle (coefficients in the circle group).
 
     Starts at the cell of an outer face, whose value that face fixes,
-    propagates cell values across faces (incidence rows to coboundary),
-    then verifies the boundary identity exactly."""
+    propagates cell values across faces (incidence rows to coboundary) as
+    integer numerators over the cycle's common denominator, then verifies
+    the boundary identity exactly."""
     if cycle.group.tag != "circle":
         raise LiftError("fill expects circle coefficients")
     complex = cycle.complex
@@ -284,7 +293,7 @@ def fill_boundary(cycle: PolyChain) -> PolyChain:
     d = complex.ambient_dim
     if cycle.dim != d - 1:
         raise LiftError("fill expects a codimension-one chain")
-    z = complex.chain_vector(cycle)
+    z, den = numerators(complex.chain_vector(cycle))
     incidence, cob = complex.incidence(d), complex.coboundary(d - 1)
     pin = next((f for f, cofs in enumerate(cob) if len(cofs) == 1), None)
     if pin is None:
@@ -305,7 +314,8 @@ def fill_boundary(cycle: PolyChain) -> PolyChain:
                     queue.append(c2)
     if any(v is None for v in values):
         raise LiftError("dual graph is not connected")
-    fill = complex.chain_from_vector(CIRCLE, d, values)
+    fill = complex.chain_from_ids(CIRCLE, d, [(i, Fraction(v, den))
+                                              for i, v in enumerate(values) if v % den])
     if fill.boundary() != cycle:
         raise LiftError("fill verification failed")
     return fill

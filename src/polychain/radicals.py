@@ -126,12 +126,13 @@ class RadicalSum:
         return out
 
     def _insert(self, rad: int, coeff: Fraction) -> None:
-        if coeff == 0:
+        if not coeff:
             return
         rad, mult = _fold_key(self.terms, rad)
         if mult != 1:
             coeff = coeff * mult
-        c = self.terms.get(rad, Fraction(0)) + coeff
+        old = self.terms.get(rad)
+        c = coeff if old is None else old + coeff
         if c:
             self.terms[rad] = c
         else:

@@ -291,3 +291,58 @@ def test_a_true_coordinate_is_refused_after_a_one(tmp_path, capsys):
     doc["simplices"][1]["coeff"] = True
     with pytest.raises(ChainFileError, match=r"simplices\[1\] coeff"):
         parse_chain(json.dumps(doc))
+
+
+def read_and_build(group, d, n, dim, terms):
+    """The grid chain file of (vertex strings, coeff string) terms, read
+    by the file reader and built by `PolyChain.build` from Fractions: each
+    gives (terms in order, None) or (None, (error type, text))."""
+    doc = {"ambient_dim": d, "dim": dim, "group": group.tag,
+           "complex": {"type": "kuhn", "n": n},
+           "simplices": [{"vertices": [list(v) for v in verts], "coeff": coeff}
+                         for verts, coeff in terms]}
+    items = [(tuple(tuple(F(x) for x in v) for v in verts), F(coeff)) for verts, coeff in terms]
+    results = []
+    for make in (lambda: parse_chain(json.dumps(doc)),
+                 lambda: PolyChain.build(group, d, dim, items, complex=grid_complex(d, n))):
+        try:
+            ch = make()
+        except ValueError as exc:
+            results.append((None, (type(exc), str(exc))))
+        else:
+            assert ch.complex is grid_complex(d, n)
+            results.append((list(ch.terms.items()), None))
+    return results
+
+
+def test_grid_reader_matches_build_on_terms_and_errors():
+    edge, upright = (("0", "0"), ("1/2", "0")), (("0", "0"), ("0", "1/2"))
+    cases = {
+        "off-lattice": (REAL, 2, 2, 1, [(edge, "1"), ((("0", "0"), ("1/3", "0")), "2")]),
+        "not Kuhn": (REAL, 2, 2, 1, [(edge, "1"), ((("1/2", "0"), ("0", "1/2")), "2")]),
+        "outside the box": (REAL, 2, 2, 1, [(edge, "1"), ((("1", "0"), ("3/2", "0")), "2")]),
+        "below the box": (REAL, 1, 2, 1, [((("-1/2",), ("0",)), "1")]),
+        "repeated vertex": (CIRCLE, 2, 2, 1, [((("1/3", "0"), ("1/3", "0")), "1/2"),
+                                              ((("0", "0"), ("0", "0")), "1/2"), (edge, "1/3")]),
+        "reversed": (REAL, 2, 2, 1, [((("1/2", "0"), ("0", "0")), "3/4"), (edge, "1/4")]),
+        "reversed top": (CIRCLE, 2, 2, 2, [((("1/2", "1/2"), ("0", "0"), ("1/2", "0")), "1/3")]),
+        # the edge cancels, the upright edge follows, and the edge comes back
+        "cancel mod 3": (modp(3), 2, 2, 1, [(edge, "1"), ((("1/2", "0"), ("0", "0")), "1"),
+                                             (upright, "1"), (edge, "2")]),
+        "cancel circle": (CIRCLE, 2, 2, 1, [(edge, "1/3"), ((("1/2", "0"), ("0", "0")), "1/3"),
+                                             (upright, "1/5"), (edge, "2/5")]),
+        "bad coefficient first": (INTEGER, 2, 2, 1, [(edge, "1/2"), ((("0", "0"), ("1/3", "0")), "1")]),
+        "degenerate off-lattice": (INTEGER, 2, 2, 1, [((("1/3", "0"), ("1/3", "0")), "1/2"),
+                                                      (edge, "2")]),
+    }
+    seen = set()
+    for name, (group, d, n, dim, terms) in cases.items():
+        read, built = read_and_build(group, d, n, dim, terms)
+        assert read == built, name
+        seen.add("error" if read[1] else "chain")
+        if name in ("off-lattice", "not Kuhn", "outside the box", "below the box"):
+            assert read[1][1].startswith("simplex not on this complex: Simplex((("), name
+        if name.startswith("cancel"):
+            assert [s.vertices[1] for s, _ in read[0]] == [(0, F(1, 2)), (F(1, 2), 0)], name
+    assert read_and_build(REAL, 2, 2, 1, [(edge, "1")])[0][1] is None
+    assert seen == {"error", "chain"}

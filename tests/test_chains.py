@@ -1,6 +1,7 @@
 """Chain algebra: canonical form, boundary and prism identities."""
 
 from fractions import Fraction
+from math import lcm as math_lcm
 from random import Random
 
 import pytest
@@ -335,3 +336,68 @@ def test_as_real_keeps_the_simplices_and_the_complex():
     assert real.as_real() is real
     with pytest.raises(ChainError):
         cx.full_chain(CIRCLE, F(1, 3)).as_real()
+
+
+def summed_by_fractions(group, pairs):
+    # reference: the Fraction summation the integer kernel replaced, one
+    # group.add per repeated key, in first-seen order, a key that reaches
+    # zero dropped and appended again by a later pair
+    terms = {}
+    for s, c in pairs:
+        if s in terms:
+            c = group.add(terms[s], c)
+        if c:
+            terms[s] = c
+        else:
+            terms.pop(s, None)
+    return terms
+
+
+def boundary_by_fractions(chain):
+    return summed_by_fractions(chain.group, (
+        (Simplex(face), c if sign > 0 else chain.group.neg(c))
+        for s, c in chain.terms.items()
+        for face, sign in ((s.vertices[:i] + s.vertices[i + 1:], (-1) ** i)
+                           for i in range(len(s.vertices)))))
+
+
+def test_grid_boundary_equals_the_free_boundary_in_the_fraction_order():
+    mod5 = ModPGroup(5)
+    for seed in range(3):
+        for d in (1, 2, 3):
+            for k in range(1, d + 1):
+                for group in (REAL, INTEGER, mod5, CIRCLE):
+                    ch = random_chain(seed, d, 2, k, group, terms=10)
+                    free = PolyChain(group, d, k, dict(ch.terms))
+                    grid_b, free_b = ch.boundary(), free.boundary()
+                    expect = list(boundary_by_fractions(ch).items())
+                    assert grid_b.complex is ch.complex and free_b.complex is None
+                    assert list(grid_b.terms.items()) == expect
+                    assert list(free_b.terms.items()) == expect
+                    assert str(grid_b.mass_exact()) == str(free_b.mass_exact())
+                    assert float(grid_b.mass_exact()) == float(free_b.mass_exact())
+
+
+def test_boundary_order_drops_a_cancelled_face_and_appends_it_again():
+    a, b, c, e = pt(0, 0), pt(1, 0), pt(2, 0), pt(1, 1)
+    for group, one, minus in ((REAL, F(1), F(-1)), (CIRCLE, F(1, 3), F(2, 3)),
+                              (ModPGroup(5), F(1), F(4))):
+        ch = build([seg(a, b, one), seg(b, c, one), seg(b, e, one)], group)
+        # b: +1 from (a, b), -1 from (b, c) drops it, -1 from (b, e) appends it
+        terms = ch.boundary().terms
+        assert [s.vertices[0] for s in terms] == [a, c, e, b]
+        assert list(terms.values()) == [minus, one, one, minus]
+        assert list(terms.items()) == list(boundary_by_fractions(ch).items())
+
+
+def test_boundary_and_mass_with_a_common_denominator_past_64_bits():
+    primes = (1000003, 1000033, 1000037, 1000039, 1000081)
+    ch = random_chain(4, 2, 3, 2, REAL, terms=8)
+    items = [(s.vertices, c / primes[i % len(primes)]) for i, (s, c) in enumerate(ch.terms.items())]
+    for cx in (ch.complex, None):
+        big = PolyChain.build(REAL, 2, 2, items, complex=cx)
+        dens = {c.denominator for c in big.terms.values()}
+        assert max(dens) < 2 ** 64 < math_lcm(*dens)
+        assert list(big.boundary().terms.items()) == list(boundary_by_fractions(big).items())
+        assert big.mass_exact().terms == per_term_mass(big).terms
+        assert big.boundary().mass_exact().terms == per_term_mass(big.boundary()).terms

@@ -106,3 +106,62 @@ def test_circle_norm_triangle_inequality(a, b):
 def test_mod_p_norm_triangle_inequality(a, b):
     g = ModPGroup(13)
     assert g.norm(g.add(a, b)) <= g.norm(a) + g.norm(b)
+
+
+# The Fraction definitions the integer primitives replaced, as the oracle.
+def fraction_normalize(group, v):
+    if group is CIRCLE:
+        return v - (v.numerator // v.denominator)
+    if isinstance(group, ModPGroup):
+        return Fraction(v.numerator % group.p)
+    return v
+
+
+def fraction_norm(group, v):
+    v = fraction_normalize(group, v)
+    if group is CIRCLE:
+        return min(v, 1 - v)
+    if isinstance(group, ModPGroup):
+        return min(v, group.p - v)
+    return abs(v)
+
+
+MOD5, MOD4 = ModPGroup(5), ModPGroup(4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+       st.integers(min_value=1, max_value=10 ** 4))
+def test_integer_primitives_agree_with_the_fraction_definitions(num, den):
+    # num/den need not be in lowest terms: the chain kernels pass numerators
+    # over a chain's common denominator
+    for group in (REAL, CIRCLE):
+        v = Fraction(num, den)
+        assert Fraction(group.wrap(num, den), den) == fraction_normalize(group, v)
+        assert Fraction(group.norm_num(num, den), den) == fraction_norm(group, v)
+        assert group.normalize(v) == fraction_normalize(group, v)
+        assert group.norm(v) == fraction_norm(group, v)
+    # the integral groups see integral values num over any den
+    for group in (INTEGER, MOD5, MOD4):
+        v = Fraction(num)
+        assert Fraction(group.wrap(num * den, den), den) == fraction_normalize(group, v)
+        assert Fraction(group.norm_num(num * den, den), den) == fraction_norm(group, v)
+        assert group.normalize(v) == fraction_normalize(group, v)
+        assert group.norm(v) == fraction_norm(group, v)
+
+
+def test_integer_primitives_on_ties_negatives_and_unit_denominators():
+    # circle tie at 1/2, from either side and past a period
+    for num, den in ((1, 2), (-1, 2), (3, 2), (5, 10), (-15, 10)):
+        assert CIRCLE.wrap(num, den) == den // 2 and CIRCLE.norm_num(num, den) == den // 2
+    assert CIRCLE.norm(Fraction(1, 2)) == Fraction(1, 2)
+    # mod-p tie at p/2: 2 in mod 4 is its own negative
+    assert MOD4.wrap(2, 1) == MOD4.wrap(-2, 1) == 2 and MOD4.norm_num(2, 1) == 2
+    assert MOD4.wrap(6, 3) == 6 and MOD4.norm_num(-6, 3) == 6
+    # negative numerators and den = 1
+    assert CIRCLE.wrap(-1, 4) == 3 and CIRCLE.norm_num(-1, 4) == 1
+    assert CIRCLE.wrap(-8, 4) == 0 and CIRCLE.norm_num(7, 1) == 0
+    assert MOD5.wrap(-7, 1) == 3 and MOD5.norm_num(-7, 1) == 2
+    assert MOD5.wrap(-14, 2) == 6 and MOD5.norm_num(-14, 2) == 4
+    assert REAL.wrap(-3, 1) == -3 and REAL.norm_num(-3, 7) == 3
+    assert INTEGER.wrap(-4, 1) == -4 and INTEGER.norm_num(-4, 1) == 4

@@ -1,6 +1,7 @@
 """Circle-to-real lifting: thresholds, loop cancellation, grid fill."""
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -141,6 +142,26 @@ def test_profile_sweep_matches_per_interval_lifts_on_window_edges():
     empty = threshold_profile(PolyChain.zero(CIRCLE, 2, 2, cx))
     assert empty.breakpoints == () and empty.integral.is_zero()
     assert [iv[:3] for iv in empty.intervals] == [(F(1, 4), F(3, 4), F(1, 2))]
+
+
+def test_profile_sweep_matches_per_interval_lifts_on_coprime_denominators():
+    # the sweep's common denominator is lcm(4, ...): sevenths and elevenths
+    # share no factor with 4, and values exactly at 1/4 and 3/4 sit on the
+    # window's edges, where every threshold keeps 1/4 and lifts 3/4 to -1/4
+    sevenths, elevenths = [F(k, 7) for k in range(1, 7)], [F(k, 11) for k in range(1, 11)]
+    pools = (sevenths, elevenths, sevenths + [F(1, 4), F(3, 4)],
+             [F(1, 4), F(3, 4), F(3, 11), F(5, 11), F(8, 11), F(2, 7)])
+    for d, n in ((1, 6), (2, 3), (3, 2)):
+        cx = grid_complex(d, n)
+        tops = cx.count(d)
+        for seed, pool in enumerate(pools):
+            rng = Random(seed)
+            ids = rng.sample(range(tops), max(1, 2 * tops // 3))
+            chain = cx.chain_from_ids(CIRCLE, d, [(i, rng.choice(pool)) for i in ids])
+            assert_profile_matches_brute_force(chain)
+        edges = cx.chain_from_ids(CIRCLE, d, [(i, (F(1, 4), F(3, 4))[i % 2]) for i in range(tops)])
+        assert threshold_profile(edges).breakpoints == ()
+        assert_profile_matches_brute_force(edges)
 
 
 def test_optimal_lift_verifies_its_bounds():
