@@ -22,20 +22,23 @@ costs no more than a prism to f followed by one to tau (Federer, GMT
 Shrinks and translations have positive scale, so `pushforward` moves each
 term with `Simplex.moved`: the image keeps its squared volume (times
 r^(2k)) and its known affine-hull equalities, and is never rebuilt.  The
-shrunken copy's equalities are computed once, when `_pick_direction` tests
-tangency against their normals, and every trial translation in
-`singular_translate` carries them to the images its overlap tests read.
-Those tests build the barycentric inequalities only for a pair the
-equalities do not settle.  The images that pass are the moved chain.  Each stage chain keeps its mass
-and boundary (`PolyChain` memoizes them), so the stage loop and the final
-checks compute each once.
+shrunken copy's equalities, integer normals about its lattice points, are
+computed once, when `_pick_direction` tests tangency against them with
+each candidate direction scaled to integers, and every trial translation
+in `singular_translate` carries them to the images its overlap tests
+read.  Those tests compare integer bounding boxes and build the
+barycentric inequalities only for a pair the equalities do not settle;
+no Fraction is made in them.  The images that pass are the moved chain.
+Each stage chain keeps its mass and boundary (`PolyChain` memoizes them),
+so the stage loop and the final checks compute each once.  Directions
+exist up to R^3 (`_directions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .chains import ChainError, PolyChain, prism, pushforward
 from .flatnorm import flat_norm, _replay_ok
@@ -108,7 +111,10 @@ def shrink_toward(chain: PolyChain, center, ratio) -> tuple[PolyChain, float]:
 
 
 def _directions(d: int):
-    """Deterministic rational unit vectors (exact norm 1)."""
+    """Deterministic rational unit vectors (exact norm 1) in R^d, d <= 3;
+    a larger d raises ApproxError."""
+    if d > 3:
+        raise ApproxError("no translation directions in R^%d (d <= 3)" % d)
     if d == 1:
         yield (Fraction(1),)
         yield (Fraction(-1),)
@@ -140,13 +146,18 @@ _DIRECTION_CAP = 600
 
 
 def _pick_direction(moving):
+    """The first direction tangent to none of the simplices.  Tangency
+    reads only the direction's span, so each candidate is tested as the
+    integer multiple of it that clears its denominators."""
     d = moving[0].ambient_dim
     count = 0
     for v in _directions(d):
         count += 1
         if count > _DIRECTION_CAP:
             break
-        if all(not is_tangent(v, s) for s in moving):
+        scale = lcm(*[c.denominator for c in v])
+        lattice_v = tuple([c.numerator * (scale // c.denominator) for c in v])
+        if all(not is_tangent(lattice_v, s) for s in moving):
             return v
     raise ApproxError("no usable translation direction in the lattice")
 

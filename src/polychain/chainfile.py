@@ -33,9 +33,9 @@ rationals in row-major order (the function is zero outside the unit box).
 
 ChainFileError marks structural problems (malformed document, bad rational,
 unknown field); InputLimitError marks well-formed input past a named size
-limit (MAX_RATIONAL_DIGITS, MAX_EXACT_LP_ROWS, MAX_FLOAT_LP_ENTRIES, and
-grid.MAX_GRID_SIMPLICES, which `grid.check_grid` enforces for every grid a
-file or command names); semantic violations raised while building the
+limit (MAX_RATIONAL_DIGITS, MAX_FREE_TERMS, MAX_EXACT_LP_ROWS,
+MAX_FLOAT_LP_ENTRIES, and grid.MAX_GRID_SIMPLICES, which `grid.check_grid`
+enforces for every grid a file or command names); semantic violations raised while building the
 chain (wrong coefficient for the group, simplex off the grid) propagate
 from the core modules unchanged so callers can tell them apart.
 """
@@ -62,6 +62,17 @@ class ChainFileError(ValueError):
 # digits.  Exponent notation is checked before Fraction expands 10**exp, so
 # a short string such as "1e200000" cannot request a huge integer.
 MAX_RATIONAL_DIGITS = 1000
+
+# Most simplices a free chain file (one without a `complex`) may list.
+# Grid chains are bounded by their grid; a free chain's mass sums one
+# radicand per term, and folding each into the sum scans those already
+# there, so the time grows with the square of the terms.  Measured on
+# seeded free chains with coordinates in 1/97 (2 cores, Python 3.11.7),
+# `mass` and `validate` took 0.2 and 0.2 s, 0.7 and 0.9 s, and 5.4 and
+# 5.6 s for 10^3, 3*10^3 and 10^4 segments in R^2, and 0.3 and 0.4 s,
+# 1.9 and 2.0 s, and 19.2 and 19.3 s for as many triangles in R^3; past
+# 10^4 such a file would take minutes.
+MAX_FREE_TERMS = 10000
 
 # Largest flat-norm program the exact route (flat_norm_oracle, `flatnorm
 # --exact`) may solve, in rows: the k-simplices of the chain's grid.
@@ -176,6 +187,9 @@ def document_to_chain(doc) -> PolyChain:
         check_grid(ambient, n, "complex")
         complex = grid_complex(ambient, n)
     raw = _require(doc, "simplices", list, "chain")
+    if complex is None and len(raw) > MAX_FREE_TERMS:
+        raise InputLimitError("chain: %d simplices in a free chain exceed MAX_FREE_TERMS = %d"
+                              % (len(raw), MAX_FREE_TERMS))
     # Each distinct string is parsed once, at its first occurrence, so a
     # bad one is reported there.  Only str values are kept: True == 1 and
     # both hash alike, so a cached 1 would let a JSON true through.

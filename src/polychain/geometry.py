@@ -5,26 +5,30 @@ tuples `num` over one positive common denominator `den`, in lowest terms
 (`lattice` makes the pair from Fraction vertices, `lowest_terms` divides
 out a common factor), so hashing and equality compare integers only.  The
 Fraction vertex tuple `Simplex.vertices` is a view built on first read,
-for output and the predicates below.  Squared volumes are exact rationals,
+for output and for `Simplex.__lt__`; nothing below reads it.  Squared volumes are exact rationals,
 the integer Gram determinant of the lattice edges over den^(2k) (k!)^2;
 real volumes are RadicalSums derived from them.  Orientation is carried by
 vertex order; `canonical` folds the parity of the sorting permutation into
 a sign so chains can store sorted tuples, and sorts a simplex's integer
 points as it would their Fractions.
 
-Tangency and overlap predicates are decided exactly with small rational
-linear algebra (row reduction, vertex enumeration of intersection
-polytopes); no floating point is involved.  They read each simplex's
-H-description from `Simplex.hull`, computed on first use and cached on
-the simplex; tangency and the cheap overlap tests read only its
-equalities (`Simplex.equalities`), which are computed and cached alone.
-All of that linear algebra, and the basis solves of the LP certificate
-(`simplex_lp.check_certificate`), use one
-elimination kernel: `gauss_jordan`, of which `mat_rank` and
-`solve_linear` are thin wrappers.  Its step, `pivot`, is also the step of
-the exact LP tableau (`simplex_lp.solve_exact`).  `det` expands cofactors
-in closed form up to 3x3 (Gram matrices of simplices in R^3 and below) and
-calls `gauss_jordan` above that.
+Tangency and overlap predicates are decided exactly on integers, with no
+floating point and no Fraction: each simplex's H-description
+(`Simplex.hull`) holds integer rows about the points of `num`, equalities
+n . p = e with primitive integer normals n and barycentric inequalities
+m . p >= f, computed on first use and cached on the simplex.  Tangency and the cheap overlap tests read
+only the equalities (`Simplex.equalities`), which are computed and cached
+alone.  Two simplices' rows meet on the lattice of lcm(den1, den2),
+bounding boxes compare cross-multiplied, and a point c/n is tested
+against the rows as n . c * den == e * n.  Their eliminations (normals,
+ranks, the vertices of an intersection polytope) are one fraction-free
+kernel, `integer_rref`.  Rational linear algebra, the basis solves of
+the LP certificate (`simplex_lp.check_certificate`), uses one
+elimination kernel: `gauss_jordan`, of which `solve_linear` is a thin
+wrapper.  Its step, `pivot`, is also the step of the exact LP tableau
+(`simplex_lp.solve_exact`).  `det` expands cofactors in closed form up to
+3x3 (Gram matrices of simplices in R^3 and below) and calls
+`gauss_jordan` above that.
 
 `AffineMap` is the scalar map x -> r*x + b with r > 0, the only kind the
 approximation pipeline moves chains by; it holds r and b over one
@@ -33,7 +37,8 @@ vertices, so `Simplex.moved` builds the image simplex directly in
 integers, already canonical, and carries the squared volume
 (times r^(2k)) and known affine-hull equalities over exactly instead of
 recomputing them; the image's inequalities are derived if something reads
-its hull.
+its hull.  A point, shift or direction of another length than the
+ambient dimension raises GeometryError.
 """
 
 from __future__ import annotations
@@ -80,8 +85,8 @@ def pivot(rows, r: int, col: int) -> list:
 
 
 def gauss_jordan(rows, ncols=None):
-    """Gauss-Jordan reduction over Q: the one elimination kernel behind
-    mat_rank, solve_linear and det.
+    """Gauss-Jordan reduction over Q: the elimination kernel behind
+    solve_linear and det.
 
     `rows` is copied, never changed.  Pivots are taken in the leading
     `ncols` columns (all columns by default), which hold rationals; later
@@ -116,10 +121,6 @@ def gauss_jordan(rows, ncols=None):
     if len(pivots) != len(m) or len(m) != ncols:
         determinant = Fraction(0)
     return m, pivots, determinant
-
-
-def mat_rank(rows) -> int:
-    return len(gauss_jordan(rows)[1])
 
 
 def solve_linear(a_rows, b):
@@ -228,12 +229,13 @@ class Simplex:
     positive common denominator, in lowest terms (`lowest_terms`): equal
     simplices have equal (num, den), so hashing and equality read only
     integers.  `vertices`, the tuple of Fraction points, is a view built
-    on first read and kept, for output and the hull predicates.
+    on first read and kept, for output and ordering (`__lt__`); the
+    volume and the hull predicates read only `num` and `den`.
 
     Immutable: the vertices never change after construction, so the hash
-    is computed once, and the squared volume, volume, bounding box,
-    affine-hull equalities (`equalities`) and H-description (`hull`) are
-    cached on first use.  Grid complexes hand out one stored object per
+    is computed once, and the squared volume, volume, integer bounding
+    box, affine-hull equalities (`equalities`) and H-description (`hull`,
+    integer rows about the points of `num`) are cached on first use.  Grid complexes hand out one stored object per
     cell (`GridComplex.simplices`), so those caches are filled once per
     cell in a process.  `moved` hands the known volume and equalities on
     to the image under a map r*x + b with r > 0.
@@ -292,10 +294,6 @@ class Simplex:
     def ambient_dim(self) -> int:
         return len(self.num[0])
 
-    def edges(self):
-        v0 = self.vertices[0]
-        return [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
-
     def lattice_edges(self):
         """The edges from the first vertex times den, as integer tuples."""
         p0 = self.num[0]
@@ -324,23 +322,24 @@ class Simplex:
         return self.sq_volume() == 0
 
     def bbox(self):
+        """The bounding box (lo, hi) as integer points over den."""
         if self._bbox is None:
             cols = tuple(zip(*self.num))
-            den = self.den
-            self._bbox = (tuple([Fraction(min(c), den) for c in cols]),
-                          tuple([Fraction(max(c), den) for c in cols]))
+            self._bbox = (tuple(map(min, cols)), tuple(map(max, cols)))
         return self._bbox
 
     def equalities(self):
-        """The affine-hull equalities of `hull`, computed once, without the
+        """The affine-hull equalities of `hull`, (n, e) pairs meaning
+        n . p = e for the points p of `num`, computed once, without the
         inequalities."""
         if self._eqs is None:
             self._eqs = _hull_equalities(self)
         return self._eqs
 
     def hull(self):
-        """The exact H-description (equalities, inequalities), computed once
-        on first read; see `_hull_equalities` and `_hull_inequalities`."""
+        """The exact H-description (equalities, inequalities) as integer
+        rows about the points of `num`, computed once on first read; see
+        `_hull_equalities` and `_hull_inequalities`."""
         if self._hull is None:
             self._hull = (self.equalities(), _hull_inequalities(self))
         return self._hull
@@ -350,32 +349,35 @@ class Simplex:
 
         With r = a/q and b = s/q over f's one denominator (`f.lattice`), a
         point p/den goes to (a*p + den*s) / (q*den), so the image is
-        integer arithmetic and one gcd.  Such a map keeps the lexicographic
-        order of the vertices, so the image is canonical with the same
-        orientation.  Its squared volume is this one's times r^(2k), the
-        same object when r == 1 (which also shares the volume), and its
-        equalities are this one's carried over exactly: an equality
-        n.x = c becomes n.y = r*c + n.b, which is what recomputing it on
+        integer arithmetic and one gcd g (`lowest_terms`).  Such a map
+        keeps the lexicographic order of the vertices, so the image is
+        canonical with the same orientation.  Its squared volume is this
+        one's times r^(2k), the same object when r == 1 (which also shares
+        the volume), and its equalities are this one's carried over in
+        integers: the normals stay, and n . p = e becomes
+        n . p' = (a*e + den * n.s) / g, which is what recomputing them on
         the image gives.  A volume is not scaled but derived again from the
         squared volume, so it prints as a recomputed one does.  What is not
         known here, and the barycentric inequalities (few images are ever
-        asked for them), are left to compute."""
+        asked for them), are left to compute.  A shift of another length
+        than the ambient dimension raises GeometryError."""
         a, s, q = f.lattice
-        r, b = f.scale, f.shift
+        if len(s) != len(self.num[0]):
+            raise GeometryError("shift has %d coordinates in R^%d"
+                                % (len(s), self.ambient_dim))
         den = self.den
         shift = [t * den for t in s]
         pts = tuple([tuple([a * x + t for x, t in zip(p, shift)]) for p in self.num])
+        num, image_den = lowest_terms(pts, q * den)
         sqvol, vol, eqs = self._sqvol, self._vol, self._eqs
-        scaled = a != q  # r != 1
-        if scaled:
+        if a != q:  # r != 1
             vol = None
             if sqvol is not None:
-                sqvol = sqvol * r ** (2 * len(pts) - 2)
+                sqvol = sqvol * f.scale ** (2 * len(pts) - 2)
         if eqs is not None:
-            if scaled:
-                eqs = [(n, r * c) for n, c in eqs]
-            eqs = tuple([(n, c + _dot(n, b)) for n, c in eqs])
-        return Simplex.trusted(*lowest_terms(pts, q * den), sqvol, vol, eqs)
+            g = q * den // image_den
+            eqs = tuple([(n, (a * e + _dot(n, shift)) // g) for n, e in eqs])
+        return Simplex.trusted(num, image_den, sqvol, vol, eqs)
 
     def __eq__(self, other):
         if self is other:
@@ -443,6 +445,9 @@ class AffineMap:
 
     def __call__(self, point) -> Point:
         p = as_point(point)
+        if len(p) != len(self.shift):
+            raise GeometryError("point has %d coordinates for a map of R^%d"
+                                % (len(p), len(self.shift)))
         r = self.scale
         if r == 1:
             return tuple(x + s for x, s in zip(p, self.shift))
@@ -453,92 +458,199 @@ class AffineMap:
 
 
 # ---------------------------------------------------------------------------
-# tangency and overlap predicates
+# tangency and overlap predicates, on integers
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum([a * b for a, b in zip(u, v)])
 
 
-def is_tangent(direction, simplex: Simplex) -> bool:
-    """True iff the direction vector lies in the simplex's edge span.
+def integer_rref(rows, ncols: int):
+    """Fraction-free Gauss-Jordan reduction of integer rows: the kernel of
+    the hull predicates.
 
-    The hull's equality normals span the complement of the edge span, so
-    the test is n.v == 0 for each of them: every vector is tangent to a
-    top-dimensional simplex, and the zero vector to every simplex.  A
-    degenerate simplex has no hull and raises GeometryError.
-    """
-    vec = [Fraction(c) for c in direction]
-    return all(_dot(n, vec) == 0 for n, _ in simplex.equalities())
+    `rows` is copied, never changed.  Pivots are taken in the leading
+    `ncols` columns as `gauss_jordan` takes them (each column's first
+    nonzero entry at or below the current rank); a step replaces every
+    other row by pivot * row - entry * pivot row and divides it by the gcd
+    of its entries, so the rows stay small primitive integer rows.  Later
+    columns are carried along.
+
+    Returns (reduced, pivots): rows that are the reduced row echelon form
+    up to a nonzero integer factor per row (each pivot row zero in every
+    other pivot column), and the pivot column of each of the first
+    len(pivots) rows."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        prow = m[rank]
+        pv = prow[col]
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != rank:
+                row = [pv * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+    return m, pivots
+
+
+def _primitive(vec) -> tuple:
+    """The integer vector divided by the gcd of its entries, signed so that
+    its last nonzero entry is positive."""
+    g = gcd(*vec)
+    if next(c for c in reversed(vec) if c) < 0:
+        g = -g
+    return tuple([c // g for c in vec])
+
+
+def _normals(edges, d: int) -> list:
+    """A basis of the integer vectors orthogonal to the edges, which must
+    be independent: the nullspace basis of their reduced row echelon form
+    (one vector per free column, positive there and zero on the other free
+    columns), scaled to integers.  That form depends only on the edge
+    span, so the basis does too; for k = d - 1 edges the one normal is
+    their cross product up to a factor.  Dependent edges raise
+    GeometryError."""
+    k = len(edges)
+    reduced, pivots = integer_rref(edges, d)
+    if len(pivots) < k:
+        raise GeometryError("degenerate simplex has no H-description")
+    scale = lcm(*[abs(reduced[r][c]) for r, c in enumerate(pivots)])
+    normals = []
+    for free in range(d):
+        if free in pivots:
+            continue
+        vec = [0] * d
+        vec[free] = scale
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][free] * scale // reduced[r][c]
+        normals.append(vec)
+    return normals
 
 
 def _hull_equalities(s: Simplex):
-    """The affine hull of the simplex as a tuple of (row, rhs) pairs, row a
-    tuple, meaning row . x = rhs: the nullspace of the edge span through the
-    first vertex, empty for a top-dimensional simplex.  A degenerate simplex
-    has no H-description and raises GeometryError.  Callers read it through
-    `Simplex.equalities`, which caches it."""
-    edges = s.edges()
-    k = len(edges)
+    """The affine hull of the simplex as a tuple of (n, e) pairs meaning
+    n . p = e for the points p of `num` (x = p/den): n runs over the
+    primitive integer normals of the edge span (`_normals`), and the
+    tuple is empty for a top-dimensional simplex.  A degenerate simplex
+    has no H-description and raises GeometryError.  Callers read it
+    through `Simplex.equalities`, which caches it."""
+    edges = s.lattice_edges()
     d = s.ambient_dim
-    if k == d:
+    if len(edges) == d:
         if s.is_degenerate():
             raise GeometryError("degenerate simplex has no H-description")
         return ()
-    # nullspace of the edge span: rows n with n.(x - v0) = 0
-    _, null = solve_linear([list(e) for e in edges] or [[Fraction(0)] * d], [Fraction(0)] * max(k, 1))
-    if len(null) != d - k:
-        raise GeometryError("degenerate simplex has no H-description")
-    v0 = s.vertices[0]
-    return tuple([(tuple(n), _dot(n, v0)) for n in null])
+    p0 = s.num[0]
+    return tuple([(n, _dot(n, p0)) for n in map(_primitive, _normals(edges, d))])
 
 
 def _hull_inequalities(s: Simplex):
     """The barycentric inequalities of a non-degenerate simplex, a tuple of
-    (row, rhs) pairs meaning row . x >= rhs (barycentric nonnegativity
-    extended off-hull via normal equations; exact on the hull, which is all
-    the intersection code needs).  Callers read them through `Simplex.hull`,
-    which checks degeneracy first and caches them."""
-    v0 = s.vertices[0]
-    edges = s.edges()
+    (m, f) pairs meaning m . p >= f for the points p of `num`
+    (barycentric nonnegativity extended off-hull via normal equations;
+    exact on the hull, which is all the intersection code needs).
+
+    With E the integer edges and G = E E^T, the barycentric coordinates
+    of p are t = G^{-1} E (p - p0).  One fraction-free reduction of [G | I]
+    gives each row of G^{-1} as an integer row over its pivot, so a
+    positive integer L makes L t integer rows T; t_i >= 0 is then
+    T_i . p >= T_i . p0, and 1 - sum t_i >= 0 is
+    -(sum T_i) . p >= -(sum T_i) . p0 - L.  Each pair is divided by the gcd
+    of its entries.  Callers read them through `Simplex.hull`, which
+    checks degeneracy first and caches them."""
+    edges = s.lattice_edges()
     k = len(edges)
-    d = s.ambient_dim
     if k == 0:
         return ()
+    d = s.ambient_dim
     gram = [[_dot(e1, e2) for e2 in edges] for e1 in edges]
-    # rows of Gram^{-1} E give barycentric coordinates t = G^{-1} E (x - v0)
-    reduced = gauss_jordan(
-        [row + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(gram)], k)[0]
-    ginv = [row[k:] for row in reduced]
-    bary_rows = []
+    reduced, _ = integer_rref([row + [int(i == j) for j in range(k)]
+                               for i, row in enumerate(gram)], k)
+    scale = lcm(*[abs(reduced[i][i]) for i in range(k)])
+    columns = list(zip(*edges))
+    rows = []
     for i in range(k):
-        row = tuple(sum(ginv[i][j] * edges[j][c] for j in range(k)) for c in range(d))
-        bary_rows.append(row)
-    # t_i(x) >= 0 and 1 - sum t_i(x) >= 0
-    ineqs = [(row, _dot(row, v0)) for row in bary_rows]
-    total = tuple(sum(-r[c] for r in bary_rows) for c in range(d))
-    ineqs.append((total, _dot(total, v0) - 1))
-    return tuple(ineqs)
+        w = [c * scale // reduced[i][i] for c in reduced[i][k:]]
+        rows.append([_dot(w, col) for col in columns])
+    total = [-sum([r[c] for r in rows]) for c in range(d)]
+    p0 = s.num[0]
+    pairs = [(r, _dot(r, p0)) for r in rows]
+    pairs.append((total, _dot(total, p0) - scale))
+    out = []
+    for row, rhs in pairs:
+        g = gcd(rhs, *row)
+        out.append((tuple([c // g for c in row]), rhs // g))
+    return tuple(out)
+
+
+def is_tangent(direction, simplex: Simplex) -> bool:
+    """True iff the direction, an integer tuple, lies in the simplex's edge
+    span.
+
+    The hull's equality normals span the complement of the edge span, so
+    the test is n . v == 0 for each of them: every vector is tangent to a
+    top-dimensional simplex, and the zero vector to every simplex.  A
+    direction of another length than the ambient dimension, or a
+    degenerate simplex (which has no hull), raises GeometryError.
+    """
+    if len(direction) != len(simplex.num[0]):
+        raise GeometryError("direction has %d coordinates in R^%d"
+                            % (len(direction), simplex.ambient_dim))
+    return all([_dot(n, direction) == 0 for n, _ in simplex.equalities()])
 
 
 def _bboxes_disjoint(s1: Simplex, s2: Simplex) -> bool:
-    lo1, hi1 = s1.bbox()
-    lo2, hi2 = s2.bbox()
-    return any(h1 < l2 or h2 < l1 for l2, h1, l1, h2 in zip(lo2, hi1, lo1, hi2))
+    """Whether the bounding boxes miss each other, compared on the integer
+    boxes cross-multiplied by the other simplex's den."""
+    (lo1, hi1), (lo2, hi2) = s1.bbox(), s2.bbox()
+    d1, d2 = s1.den, s2.den
+    if d1 == d2:
+        return any([h1 < l2 or h2 < l1 for l2, h1, l1, h2 in zip(lo2, hi1, lo1, hi2)])
+    return any([h1 * d2 < l2 * d1 or h2 * d1 < l1 * d2
+                for l2, h1, l1, h2 in zip(lo2, hi1, lo1, hi2)])
+
+
+def _common_lattice(s1: Simplex, s2: Simplex, rows1, rows2) -> tuple:
+    """(row, rhs) constraints of s1 and of s2, each about its own `num`,
+    restated about the points y = D x of the one lattice D = lcm(den1,
+    den2): the rows stay, and each rhs is multiplied by D/den."""
+    d1, d2 = s1.den, s2.den
+    if d1 == d2:
+        return rows1 + rows2
+    g = gcd(d1, d2)
+    m1, m2 = d2 // g, d1 // g
+    return (tuple([(row, rhs * m1) for row, rhs in rows1])
+            + tuple([(row, rhs * m2) for row, rhs in rows2]))
 
 
 def _equalities_rank(eqs, d: int):
-    """Rank of the stacked equality rows, or None when the system is
-    inconsistent; one elimination decides both."""
-    rows, pivots, _ = gauss_jordan([list(row) + [rhs] for row, rhs in eqs], d)
+    """Rank of the stacked integer equality rows, or None when the system
+    is inconsistent; one fraction-free elimination decides both."""
+    rows, pivots = integer_rref([list(row) + [rhs] for row, rhs in eqs], d)
     rank = len(pivots)
-    if any(rows[i][d] for i in range(rank, len(rows))):
+    if any([rows[i][d] for i in range(rank, len(rows))]):
         return None
     return rank
 
 
 def overlap_dim(s1: Simplex, s2: Simplex) -> int:
-    """Exact dimension of the convex intersection; -1 when disjoint."""
+    """Exact dimension of the convex intersection; -1 when disjoint.
+
+    The intersection polytope is given by both hulls' constraints on the
+    common lattice (`_common_lattice`); each candidate vertex solves u
+    active inequalities with the equalities by one fraction-free
+    reduction and is kept, as an integer point over a positive integer w
+    in lowest terms, when it meets every inequality.  The dimension is the
+    rank of the rows (w, y) less one."""
     if s1.ambient_dim != s2.ambient_dim:
         raise GeometryError("ambient dimensions differ")
     if _bboxes_disjoint(s1, s2):
@@ -546,8 +658,8 @@ def overlap_dim(s1: Simplex, s2: Simplex) -> int:
     d = s1.ambient_dim
     eqs1, in1 = s1.hull()
     eqs2, in2 = s2.hull()
-    eqs = eqs1 + eqs2
-    ineqs = in1 + in2
+    eqs = _common_lattice(s1, s2, eqs1, eqs2)
+    ineqs = _common_lattice(s1, s2, in1, in2)
     if eqs:
         rank = _equalities_rank(eqs, d)
         if rank is None:
@@ -556,26 +668,21 @@ def overlap_dim(s1: Simplex, s2: Simplex) -> int:
     else:
         u = d
     # vertices of the intersection polytope: u active independent inequalities
-    eq_rows = [e[0] for e in eqs]
-    eq_rhs = [e[1] for e in eqs]
+    eq_rows = [list(row) + [rhs] for row, rhs in eqs]
     points = set()
-    for active in combinations(range(len(ineqs)), u):
-        rows = eq_rows + [ineqs[i][0] for i in active]
-        rhs = eq_rhs + [ineqs[i][1] for i in active]
-        sol = solve_linear(rows, rhs)
-        if sol is None:
-            continue
-        x, null = sol
-        if null:  # rank-deficient choice, not a candidate vertex
-            continue
-        if all(_dot(row, x) >= r for row, r in ineqs):
-            points.add(tuple(x))
+    for active in combinations(ineqs, u):
+        rows, pivots = integer_rref(eq_rows + [list(row) + [rhs] for row, rhs in active], d)
+        if len(pivots) < d or any([rows[i][d] for i in range(d, len(rows))]):
+            continue  # inconsistent, or a rank-deficient choice
+        # pivots are the columns 0..d-1 in order: y_c = rhs_c / pivot_c
+        w = lcm(*[abs(rows[c][c]) for c in range(d)])
+        y = [rows[c][d] * (w // rows[c][c]) for c in range(d)]
+        if all([_dot(row, y) >= rhs * w for row, rhs in ineqs]):
+            g = gcd(w, *y)
+            points.add((w // g, *[c // g for c in y]))
     if not points:
         return -1
-    pts = sorted(points)
-    base = pts[0]
-    diffs = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
-    return mat_rank(diffs) if diffs else 0
+    return len(integer_rref(list(points), d + 1)[1]) - 1
 
 
 def overlap_dim_at_least(s1: Simplex, s2: Simplex, k: int) -> bool:
@@ -583,28 +690,36 @@ def overlap_dim_at_least(s1: Simplex, s2: Simplex, k: int) -> bool:
     the consistency and dimension of the two affine hulls' intersection."""
     if k <= -1:
         return True
+    d = s1.ambient_dim
+    if d != s2.ambient_dim:
+        raise GeometryError("ambient dimensions differ")
     if _bboxes_disjoint(s1, s2):
         return False
-    eqs = s1.equalities() + s2.equalities()
+    eqs = _common_lattice(s1, s2, s1.equalities(), s2.equalities())
     if eqs:
-        rank = _equalities_rank(eqs, s1.ambient_dim)
-        if rank is None or s1.ambient_dim - rank < k:
+        rank = _equalities_rank(eqs, d)
+        if rank is None or d - rank < k:
             return False
     return overlap_dim(s1, s2) >= k
 
 
-def point_in_simplex(point, s: Simplex) -> bool:
-    """Exact membership test (closed simplex)."""
-    p = as_point(point)
+def point_in_simplex(point, s: Simplex, den: int = 1) -> bool:
+    """Exact membership of the point point/den, an integer point over a
+    positive den, in the closed simplex: the hull's integer rows are
+    tested with each side multiplied by the other's den."""
+    if len(point) != len(s.num[0]):
+        raise GeometryError("point has %d coordinates in R^%d"
+                            % (len(point), s.ambient_dim))
     eqs, ineqs = s.hull()
+    sd = s.den
     for row, rhs in eqs:
-        if _dot(row, p) != rhs:
+        if _dot(row, point) * sd != rhs * den:
             return False
     for row, rhs in ineqs:
-        if _dot(row, p) < rhs:
+        if _dot(row, point) * sd < rhs * den:
             return False
     return True
 
 
 def simplex_in_simplex(inner: Simplex, outer: Simplex) -> bool:
-    return all(point_in_simplex(v, outer) for v in inner.vertices)
+    return all(point_in_simplex(p, outer, inner.den) for p in inner.num)

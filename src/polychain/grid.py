@@ -52,7 +52,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import ceil, factorial, floor
+from math import factorial
 
 from . import chains as _chains
 from .geometry import Simplex, det, faces, lowest_terms, point_in_simplex
@@ -360,9 +360,10 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
     A tile's first vertex lies in the term's bounding box, so the candidate
     tiles are the target cells of the cubes that box's lattice points clip
     to, visited in ascending id.  A tile is kept when all its lattice
-    points lie in the term; each point is tested once per term, against
-    the box in integers and then exactly against the term's hull, and the
-    answer is reused by every candidate tile that shares it.
+    points lie in the term; each point c/n is tested once per term,
+    against the box and then exactly against the term's integer hull rows,
+    all in integers, and the answer is reused by every candidate tile that
+    shares it.
     """
     if chain.ambient_dim != target.ambient_dim:
         raise GridError("ambient dimension mismatch")
@@ -376,8 +377,10 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
     for sigma, coeff in chain.terms.items():
         if sigma.is_degenerate():
             raise GridError("cannot re-express a zero-volume term")
-        # the lattice coordinates in sigma's bounding box, per axis
-        bounds = [(max(ceil(a * n), 0), min(floor(b * n), n)) for a, b in zip(*sigma.bbox())]
+        # the lattice coordinates in sigma's bounding box, per axis: the box
+        # is integers over sigma.den, so ceil(a*n/den) and floor(b*n/den)
+        sd = sigma.den
+        bounds = [(max(-(-a * n // sd), 0), min(b * n // sd, n)) for a, b in zip(*sigma.bbox())]
         spans = [range(min(first, n - 1), min(last, n - 1) + 1) if first <= last else ()
                  for first, last in bounds]
         candidates = sorted(i for cube in product(*spans) for i in by_cube[cube])
@@ -390,7 +393,7 @@ def embed_on(target: GridComplex, chain) -> "_chains.PolyChain":
                 if hit is None:
                     hit = inside[p] = (
                         all([a <= c <= b for c, (a, b) in zip(p, bounds)])
-                        and point_in_simplex(tuple([Fraction(c, n) for c in p]), sigma))
+                        and point_in_simplex(p, sigma, n))
                 if not hit:
                     break
             else:

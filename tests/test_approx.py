@@ -269,3 +269,47 @@ def test_measured_shrink_distance_refuses_an_oversized_refinement(monkeypatch):
     with pytest.raises(InputLimitError, match=r"shrink refinement: n=160 in R\^3"):
         measured_shrink_distance(chain, F(1, 40))
     assert built == []
+
+
+def test_translation_directions_stop_at_three_dimensions():
+    # four unit-axis segments in R^4: no direction of R^4 is listed, so the
+    # translation refuses instead of moving by a 3-vector
+    axes = [tuple(F(int(i == j)) for j in range(4)) for i in range(4)]
+    chain = PolyChain.build(REAL, 4, 1, [(((F(0),) * 4, a), F(1)) for a in axes])
+    with pytest.raises(ApproxError, match="R\\^4"):
+        singular_translate(chain, list(chain.terms), F(1, 8))
+    with pytest.raises(ApproxError):
+        next(approx._directions(4))
+    for d in (1, 2, 3):
+        assert all(len(v) == d and sum(c * c for c in v) == 1
+                   for v in list(approx._directions(d))[:50])
+
+
+def test_stage_decisions_are_those_of_the_fraction_predicates(monkeypatch):
+    # the integer predicates against the Fraction ones they replaced
+    from test_geometry import ref_is_tangent, ref_overlap_dim_at_least
+
+    def run_all():
+        out = []
+        for d, seeds in ((2, range(20)), (3, range(10))):
+            for seed in seeds:
+                ch = random_chain(seed, d, 2, 1 + seed % (d - 1), terms=4)
+                rep, rep_report = disjoint_representative(ch)
+                cycle, _, defect, report = cycle_extension(ch)
+                out.append((rep, rep_report.stages, rep_report.epsilon_terminal,
+                            cycle, defect, report.stages))
+        return out
+
+    integer = run_all()
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(f) or f(*args)
+    monkeypatch.setattr(approx, "is_tangent", counted(ref_is_tangent))
+    monkeypatch.setattr(approx, "overlap_dim_at_least", counted(ref_overlap_dim_at_least))
+    fraction = run_all()
+    assert {ref_is_tangent, ref_overlap_dim_at_least} <= set(calls)
+    for got, expected in zip(integer, fraction):
+        assert [(r.shrink_ratio, r.direction, r.shift) for r in got[1]] == \
+            [(r.shrink_ratio, r.direction, r.shift) for r in expected[1]]
+        assert got == expected

@@ -113,6 +113,32 @@ def test_flatnorm_refuses_a_float_program_past_the_entry_limit(tmp_path, capsys,
     assert assembled == []
 
 
+def test_a_free_chain_file_past_the_term_limit_is_refused(tmp_path, capsys):
+    # distinct points in R^1: a 0-chain whose mass is cheap at any size
+    def points(count, first="0"):
+        return [{"vertices": [[first if i == 0 else str(i)]], "coeff": "1"}
+                for i in range(count)]
+    limit = chainfile.MAX_FREE_TERMS
+    src = tmp_path / "chain.json"
+    doc = {"ambient_dim": 1, "dim": 0, "group": "real"}
+    src.write_text(json.dumps(dict(doc, simplices=points(limit))))
+    code, out, _ = run(capsys, "mass", str(src))
+    assert code == 0 and "terms = %d" % limit in out
+    # refused before any simplex is read: the bad first coordinate is not reached
+    src.write_text(json.dumps(dict(doc, simplices=points(limit + 1, first="x"))))
+    code, out, err = run(capsys, "mass", str(src))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error [chainfile]:") and "MAX_FREE_TERMS = %d" % limit in err
+    assert "%d simplices" % (limit + 1) in err
+    # a grid chain is bounded by its grid, not by this limit
+    doc = dict(doc, complex={"type": "kuhn", "n": 1},
+               simplices=[{"vertices": [["0"]], "coeff": "1"}] * (limit + 1))
+    src.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "mass", str(src))
+    assert code == 0 and "terms = 1" in out
+
+
 def test_project_then_lift_round_trip(tmp_path, capsys):
     top = tmp_path / "top.json"
     code, out, _ = run(capsys, "gen", "top", "--grid", "2,2",

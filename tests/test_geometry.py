@@ -1,6 +1,8 @@
 """Exact simplex geometry: volumes, orientation, hull intersections."""
 
+import math
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd
 from random import Random
 
@@ -8,10 +10,10 @@ import pytest
 import sympy
 
 from polychain.chains import PolyChain, prism, pushforward
-from polychain.geometry import (AffineMap, GeometryError, Simplex, _equalities_rank,
-                                canonical, det, gauss_jordan, is_tangent, mat_rank,
-                                overlap_dim, overlap_dim_at_least, point_in_simplex,
-                                simplex_in_simplex, solve_linear)
+from polychain.geometry import (AffineMap, GeometryError, Simplex, _common_lattice,
+                                _equalities_rank, canonical, det, gauss_jordan, is_tangent,
+                                lowest_terms, overlap_dim, overlap_dim_at_least,
+                                point_in_simplex, simplex_in_simplex, solve_linear)
 from polychain.grid import grid_complex
 from polychain.groups import REAL
 from polychain.radicals import RadicalSum
@@ -22,6 +24,16 @@ F = Fraction
 
 def pt(*coords):
     return tuple(F(c) for c in coords)
+
+
+def rank_of(rows) -> int:
+    return len(gauss_jordan(rows)[1])
+
+
+def integer_vector(vec):
+    """The rational vector times the lcm of its denominators."""
+    scale = math.lcm(*[F(c).denominator for c in vec])
+    return tuple(int(F(c) * scale) for c in vec)
 
 
 def test_canonical_sorts_and_tracks_parity():
@@ -93,7 +105,7 @@ def test_elimination_agrees_with_sympy():
     for rows, cols, rank in SHAPES * 4:
         a = random_matrix(rng, rows, cols, rank)
         ref = as_sympy(a)
-        assert mat_rank(a) == ref.rank()
+        assert rank_of(a) == ref.rank()
         if rows == cols:
             assert det(a) == ref.det()
         # a right-hand side in the column space, then a random one, which
@@ -161,9 +173,10 @@ def test_solve_linear_with_radical_right_hand_sides():
 
 def test_tangency():
     seg = Simplex((pt(0, 0), pt(1, 0)))
-    assert is_tangent((F(1), F(0)), seg)
-    assert not is_tangent((F(0), F(1)), seg)
-    assert not is_tangent((F(3, 5), F(4, 5)), seg)
+    assert is_tangent((1, 0), seg)
+    assert is_tangent((-7, 0), seg)
+    assert not is_tangent((0, 1), seg)
+    assert not is_tangent((3, 4), seg)  # the unit vector (3/5, 4/5), scaled
 
 
 def test_overlap_dimensions():
@@ -189,8 +202,11 @@ def test_containment():
     tri = Simplex((pt(0, 0), pt(1, 0), pt(0, 1)))
     inner = Simplex((pt(F(1, 4), F(1, 4)), pt(F(1, 2), F(1, 4))))
     outer = Simplex((pt(0, 0), pt(2, 0)))
-    assert point_in_simplex(pt(F(1, 4), F(1, 4)), tri)
-    assert not point_in_simplex(pt(1, 1), tri)
+    assert point_in_simplex((1, 1), tri, 4)
+    assert point_in_simplex((2, 2), tri, 8)
+    assert point_in_simplex((0, 1), tri)
+    assert not point_in_simplex((1, 1), tri)
+    assert not point_in_simplex((3, 2), tri, 4)
     assert simplex_in_simplex(inner, tri)
     assert not simplex_in_simplex(outer, tri)
 
@@ -280,15 +296,226 @@ def test_moved_simplex_equals_the_recomputed_image():
             AffineMap(r, (F(0),))
 
 
+# -- the Fraction predicates, kept as the reference ----------------------------
+# The hull predicates as they were decided on Fraction rows rebuilt from each
+# simplex's `vertices`.  The integer predicates of `geometry` must agree with
+# them exactly, and the approximation stages must decide alike under both
+# (tests/test_approx.py).
+
+
+def ref_edges(s):
+    v0 = s.vertices[0]
+    return [tuple(a - b for a, b in zip(v, v0)) for v in s.vertices[1:]]
+
+
+def ref_dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), F(0))
+
+
+def ref_equalities(s):
+    """(row, rhs) pairs meaning row . x = rhs: the nullspace of the edge
+    span through the first vertex."""
+    edges = ref_edges(s)
+    k, d = len(edges), s.ambient_dim
+    if k == d:
+        if s.is_degenerate():
+            raise GeometryError("degenerate simplex has no H-description")
+        return ()
+    _, null = solve_linear([list(e) for e in edges] or [[F(0)] * d], [F(0)] * max(k, 1))
+    if len(null) != d - k:
+        raise GeometryError("degenerate simplex has no H-description")
+    v0 = s.vertices[0]
+    return tuple((tuple(n), ref_dot(n, v0)) for n in null)
+
+
+def ref_inequalities(s):
+    """Barycentric (row, rhs) pairs meaning row . x >= rhs, from the
+    inverse Gram matrix of the Fraction edges."""
+    v0 = s.vertices[0]
+    edges = ref_edges(s)
+    k, d = len(edges), s.ambient_dim
+    if k == 0:
+        return ()
+    gram = [[ref_dot(e1, e2) for e2 in edges] for e1 in edges]
+    reduced = gauss_jordan(
+        [row + [F(1 if i == j else 0) for j in range(k)] for i, row in enumerate(gram)], k)[0]
+    ginv = [row[k:] for row in reduced]
+    bary = [tuple(sum(ginv[i][j] * edges[j][c] for j in range(k)) for c in range(d))
+            for i in range(k)]
+    ineqs = [(row, ref_dot(row, v0)) for row in bary]
+    total = tuple(sum(-r[c] for r in bary) for c in range(d))
+    ineqs.append((total, ref_dot(total, v0) - 1))
+    return tuple(ineqs)
+
+
+def ref_hull(s):
+    return ref_equalities(s), ref_inequalities(s)
+
+
+def ref_bboxes_disjoint(s1, s2):
+    (lo1, hi1), (lo2, hi2) = ([list(map(f, zip(*s.vertices))) for f in (min, max)]
+                              for s in (s1, s2))
+    return any(h1 < l2 or h2 < l1 for l2, h1, l1, h2 in zip(lo2, hi1, lo1, hi2))
+
+
+def ref_equalities_rank(eqs, d):
+    rows, pivots, _ = gauss_jordan([list(row) + [rhs] for row, rhs in eqs], d)
+    if any(rows[i][d] for i in range(len(pivots), len(rows))):
+        return None
+    return len(pivots)
+
+
+def ref_is_tangent(direction, simplex):
+    vec = [F(c) for c in direction]
+    return all(ref_dot(n, vec) == 0 for n, _ in ref_equalities(simplex))
+
+
+def ref_overlap_dim(s1, s2):
+    if ref_bboxes_disjoint(s1, s2):
+        return -1
+    d = s1.ambient_dim
+    eqs1, in1 = ref_hull(s1)
+    eqs2, in2 = ref_hull(s2)
+    eqs, ineqs = eqs1 + eqs2, in1 + in2
+    if eqs:
+        r = ref_equalities_rank(eqs, d)
+        if r is None:
+            return -1
+        u = d - r
+    else:
+        u = d
+    points = set()
+    for active in combinations(range(len(ineqs)), u):
+        rows = [e[0] for e in eqs] + [ineqs[i][0] for i in active]
+        rhs = [e[1] for e in eqs] + [ineqs[i][1] for i in active]
+        sol = solve_linear(rows, rhs)
+        if sol is None or sol[1]:
+            continue
+        x = sol[0]
+        if all(ref_dot(row, x) >= r for row, r in ineqs):
+            points.add(tuple(x))
+    if not points:
+        return -1
+    pts = sorted(points)
+    diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    return rank_of(diffs) if diffs else 0
+
+
+def ref_overlap_dim_at_least(s1, s2, k):
+    if k <= -1:
+        return True
+    if ref_bboxes_disjoint(s1, s2):
+        return False
+    eqs = ref_equalities(s1) + ref_equalities(s2)
+    if eqs:
+        r = ref_equalities_rank(eqs, s1.ambient_dim)
+        if r is None or s1.ambient_dim - r < k:
+            return False
+    return ref_overlap_dim(s1, s2) >= k
+
+
+def ref_point_in_simplex(point, s):
+    eqs, ineqs = ref_hull(s)
+    return (all(ref_dot(row, point) == rhs for row, rhs in eqs)
+            and all(ref_dot(row, point) >= rhs for row, rhs in ineqs))
+
+
+def reference_cases(rng):
+    """Seeded rational simplices as (simplex, twin) pairs: the simplex made
+    by `Simplex.trusted` (so no `vertices` view), the twin an equal simplex
+    for the reference to read.  d = 1..3 and every k <= d, each with a copy
+    whose integer points share a factor with den that `lowest_terms`
+    divides out, and images under `Simplex.moved` with and without their
+    equalities carried over."""
+    cases = []
+    for d in (1, 2, 3):
+        for k in range(d + 1):
+            for _ in range(3):
+                s = random_simplex(rng, d, k, denominator=rng.choice((1, 2, 3)))
+                cases.append((Simplex.trusted(s.num, s.den), s))
+                m = rng.choice((2, 6))
+                num, den = lowest_terms(tuple(tuple(c * m for c in p) for p in s.num), s.den * m)
+                assert den == s.den
+                cases.append((Simplex.trusted(num, den), s))
+                f = AffineMap(F(rng.randint(1, 6), rng.randint(1, 6)),
+                              [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)])
+                twin = Simplex(canonical(tuple(map(f, s.vertices)))[0])
+                for warm in (False, True):
+                    source = Simplex.trusted(s.num, s.den)
+                    if warm and not s.is_degenerate():
+                        source.equalities()
+                    cases.append((source.moved(f), twin))
+                # a translate by a third of an edge: a pair that overlaps
+                if k:
+                    step = [F(c, 3 * s.den) for c in Simplex.trusted(s.num, s.den).lattice_edges()[0]]
+                    g = AffineMap.translation(step)
+                    cases.append((Simplex.trusted(s.num, s.den).moved(g),
+                                  Simplex(tuple(map(g, s.vertices)))))
+    return cases
+
+
+def test_integer_predicates_agree_with_the_fraction_reference():
+    rng = Random(2026)
+    cases = reference_cases(rng)
+    assert any(s._eqs is not None for s, _ in cases)  # carried by `moved`
+    dims, tangent, inside = set(), set(), set()
+    for s, twin in cases:
+        assert s == twin
+        d = s.ambient_dim
+        vectors = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(4)]
+        vectors += [(0,) * d] + [integer_vector(e) for e in ref_edges(twin)]
+        for v in vectors:
+            try:
+                expected = ref_is_tangent(v, twin)
+            except GeometryError:
+                with pytest.raises(GeometryError):
+                    is_tangent(v, s)
+                continue
+            assert is_tangent(v, s) == expected
+            tangent.add(expected)
+        if s.is_degenerate():
+            continue
+        # the vertices, the barycentre, a point past the last vertex along
+        # its edge (on the hull, outside the simplex) and random points
+        k = len(s.num) - 1
+        points = [(p, s.den) for p in s.num]
+        points.append((tuple(map(sum, zip(*s.num))), s.den * (k + 1)))
+        points.append((tuple(2 * a - b for a, b in zip(s.num[-1], s.num[0])), s.den))
+        points += [(tuple(rng.randint(-9, 9) for _ in range(d)), rng.choice((1, 2, 5)))
+                   for _ in range(4)]
+        for p, den in points:
+            expected = ref_point_in_simplex(tuple(F(c, den) for c in p), twin)
+            assert point_in_simplex(p, s, den) == expected
+            inside.add(expected)
+    solid = [pair for pair in cases if not pair[1].is_degenerate()]
+    pairs = [(a, b) for a in solid for b in solid
+             if a[0].ambient_dim == b[0].ambient_dim and rng.random() < 0.05]
+    for (a, ta), (b, tb) in pairs:
+        d = a.ambient_dim
+        dim = overlap_dim(a, b)
+        assert dim == ref_overlap_dim(ta, tb), (ta, tb)
+        dims.add(dim)
+        for k in range(-1, d + 1):
+            assert overlap_dim_at_least(a, b, k) == ref_overlap_dim_at_least(ta, tb, k)
+        eqs = _common_lattice(a, b, a.equalities(), b.equalities())
+        fraction_eqs = ref_equalities(ta) + ref_equalities(tb)
+        if eqs:
+            assert _equalities_rank(eqs, d) == ref_equalities_rank(fraction_eqs, d)
+    assert dims == {-1, 0, 1, 2, 3}
+    assert tangent == {True, False} and inside == {True, False}
+    # nothing above built the Fraction view of the integer simplices
+    assert all(s._verts is None for s, _ in cases)
+
+
 def _rank_tangent(direction, simplex):
     """Tangency by comparing ranks, with and without the direction."""
     vec = [F(c) for c in direction]
     if all(c == 0 for c in vec):
         return True
-    rows = [list(e) for e in simplex.edges()]
+    rows = [list(e) for e in ref_edges(simplex)]
     if not rows:
         return False
-    return mat_rank(rows + [vec]) == mat_rank(rows)
+    return rank_of(rows + [vec]) == rank_of(rows)
 
 
 def test_tangency_by_hull_normals_agrees_with_the_rank_test():
@@ -297,11 +524,11 @@ def test_tangency_by_hull_normals_agrees_with_the_rank_test():
     cases = [random_simplex(rng, d, k) for d in (2, 3) for k in range(d + 1)
              for _ in range(4)]
     with pytest.raises(GeometryError):  # a degenerate simplex has no hull
-        is_tangent((F(1), F(1), F(0)), flat)
+        is_tangent((1, 1, 0), flat)
     seen = set()
     for s in cases:
         d = s.ambient_dim
-        edges = s.edges()
+        edges = ref_edges(s)
         vectors = [tuple(F(rng.randint(-3, 3)) for _ in range(d)) for _ in range(6)]
         vectors += [tuple(F(0) for _ in range(d))]
         for _ in range(3):  # in the edge span
@@ -310,7 +537,7 @@ def test_tangency_by_hull_normals_agrees_with_the_rank_test():
                                  for i in range(d)))
         for v in vectors:
             expected = _rank_tangent(v, s)
-            assert is_tangent(v, s) == expected
+            assert is_tangent(integer_vector(v), s) == expected
             seen.add(expected)
     assert seen == {True, False}
 
@@ -347,11 +574,13 @@ def test_overlap_dim_at_least_agrees_with_overlap_dim():
         seen.add(dim)
         for k in range(-1, a.ambient_dim + 1):
             assert overlap_dim_at_least(a, b, k) == (dim >= k), (a, b, k)
-        # one elimination decides what solve_linear and mat_rank did
-        eqs = a.hull()[0] + b.hull()[0]
+        # one elimination decides what solving and a rank did
+        eqs = _common_lattice(a, b, a.equalities(), b.equalities())
+        fraction_eqs = ref_equalities(a) + ref_equalities(b)
+        assert bool(eqs) == bool(fraction_eqs)
         if eqs:
-            rows, rhs = [e[0] for e in eqs], [e[1] for e in eqs]
-            expected = None if solve_linear(rows, rhs) is None else mat_rank(rows)
+            rows, rhs = [e[0] for e in fraction_eqs], [e[1] for e in fraction_eqs]
+            expected = None if solve_linear(rows, rhs) is None else rank_of(rows)
             assert _equalities_rank(eqs, a.ambient_dim) == expected
     assert seen == {-1, 0, 1, 2, 3}
 
@@ -462,8 +691,24 @@ def test_sq_volume_equals_the_fraction_gram_determinant():
         d = rng.randint(1, 3)
         k = rng.randint(0, d)
         s = random_simplex(rng, d, k, denominator=rng.choice((9, 10 ** 6 + 3)))
-        edges = s.edges()
+        edges = ref_edges(s)
         gram = [[sum((a * b for a, b in zip(e1, e2)), F(0)) for e2 in edges] for e1 in edges]
         expected = gauss_jordan(gram)[2] / factorial(k) ** 2 if k else F(1)
         assert Simplex(s.vertices).sq_volume() == expected
         cases += 1
+
+
+def test_a_point_shift_or_direction_of_the_wrong_length_is_refused():
+    seg = Simplex((pt(0, 0), pt(1, 0)))
+    with pytest.raises(GeometryError, match="direction"):
+        is_tangent((1, 0, 0), seg)
+    with pytest.raises(GeometryError, match="shift"):
+        seg.moved(AffineMap.translation(pt(1, 2, 3)))
+    with pytest.raises(GeometryError, match="point"):
+        point_in_simplex((0, 0, 0), seg)
+    with pytest.raises(GeometryError, match="point"):
+        AffineMap.translation(pt(1, 2, 3))(pt(0, 0))
+    with pytest.raises(GeometryError):
+        AffineMap.translation(pt(1, 2)).compose(AffineMap.translation(pt(1, 2, 3)))
+    with pytest.raises(GeometryError, match="ambient"):
+        overlap_dim_at_least(seg, Simplex((pt(0, 0, 0), pt(1, 0, 0))), 0)

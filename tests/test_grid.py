@@ -274,16 +274,28 @@ def _contains(outer, point):
     return back == rel and all(l >= 0 for l in lam) and sum(lam) <= 1
 
 
+def _edges(s):
+    """The Fraction edges of a simplex from its first vertex."""
+    v0 = s.vertices[0]
+    return [tuple(a - b for a, b in zip(v, v0)) for v in s.vertices[1:]]
+
+
+def _box(s):
+    """The Fraction bounding box of a simplex's vertices."""
+    cols = list(zip(*s.vertices))
+    return [min(c) for c in cols], [max(c) for c in cols]
+
+
 def _brute_force_embed(fine, chain):
     """Every fine k-simplex inside a term, signed by the sign of
     det(E_t E_sigma^T), which is det(C) det(Gram_sigma) for E_t = C E_sigma."""
     k = chain.dim
     items = []
     for sigma, coeff in chain.terms.items():
-        sig_edges = sigma.edges()
+        sig_edges = _edges(sigma)
         for t in fine.simplices(k):
             if all(_contains(sigma, v) for v in t.vertices):
-                cross = [[sum(a * b for a, b in zip(e, f)) for f in sig_edges] for e in t.edges()]
+                cross = [[sum(a * b for a, b in zip(e, f)) for f in sig_edges] for e in _edges(t)]
                 items.append((t.vertices, coeff if geometry.det(cross) > 0 else -coeff))
     return PolyChain.build(chain.group, chain.ambient_dim, k, items, complex=fine)
 
@@ -308,17 +320,17 @@ def _full_scan_embed(target, chain):
     group, k = chain.group, chain.dim
     pairs = []
     for sigma, coeff in chain.terms.items():
-        lo, hi = sigma.bbox()
-        base = sigma.edges()
+        lo, hi = _box(sigma)
+        base = _edges(sigma)
         covered = RadicalSum()
         for i, t in enumerate(target.simplices(k)):
-            tlo, thi = t.bbox()
+            tlo, thi = _box(t)
             if any(a < b for a, b in zip(tlo, lo)) or any(a > b for a, b in zip(thi, hi)):
                 continue
             if not geometry.simplex_in_simplex(t, sigma):
                 continue
             rel = geometry.det([[sum(a * b for a, b in zip(e, f)) for f in base]
-                                for e in t.edges()])
+                                for e in _edges(t)])
             pairs.append((i, coeff if rel > 0 else group.neg(coeff)))
             covered = covered + t.volume()
         assert (covered - sigma.volume()).is_zero()
